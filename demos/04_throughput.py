@@ -2,11 +2,12 @@
 Batch throughput
 ================
 
-A million points per domain at y = 1e-8, timed.  The batch path shares
-the per-y coefficient fold across all points and buckets the external
-points by continued-fraction depth, so it runs at tens of millions of
-points per second per domain.  Results are bit-identical to pointwise
-evaluation.
+A million points per domain at y = 1e-8, timed.  The batch path folds the
+per-y series coefficients once for the whole array, evaluates the
+internal points with the Taylor series, and evaluates all external points
+in one Laplace continued-fraction call with one depth per point.  Results
+are bit-identical to pointwise evaluation.  The printed rate depends on
+the machine; perfbench/ holds the benchmark and its measured numbers.
 """
 
 import time

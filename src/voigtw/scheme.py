@@ -9,8 +9,10 @@ The external depth deserves a note.  The tabulated N_C values are tuned
 for the fixed |z| >= 22 split; close to z_c(y) the fraction needs more
 levels (about 19 at |z| ~ 6.65, falling to 6 by |z| ~ 20).  That profile
 was calibrated against the high-accuracy oracle on a dense radius grid
-and is applied per point as a step function of |z|, so batch and scalar
-evaluation agree bit for bit.
+and is applied per point as a step function of |z|, floored at the
+tabulated N_C.  The whole external branch is one Laplace fraction call
+with one depth per point, so batch and scalar evaluation agree bit for
+bit.
 """
 
 import math
@@ -131,37 +133,30 @@ def eval_w_batch(xs, y, accuracy=1e-16, params=None):
     if params is None:
         params = select_params(y, accuracy)
     ax = np.abs(xs)
-    l_sign = np.where(np.signbit(xs), -1.0, 1.0)
 
     if y == 0.0:
         # Analytic collapse of the series: exact at y = 0 for every x.
         k = np.exp(-ax * ax)
         l = _TWO_OVER_SQRT_PI * dawson_cf(ax, params.n_d)
-        return VoigtValue(k, l_sign * l)
-
-    k = np.empty_like(ax)
-    l = np.empty_like(ax)
-    r = np.hypot(ax, y)
-    z_c = boundary_z_c(y, accuracy if accuracy in _BOUNDARY_CUBICS else 1e-16)
-    internal = r < z_c
-    if internal.any():
-        ki, li = eval_w_internal(ax[internal], y, params)
-        k[internal] = ki
-        l[internal] = li
-    external = ~internal
-    if external.any():
-        depths = np.maximum(external_depth(r[external]), params.n_c)
-        xe = ax[external]
-        ke = np.empty_like(xe)
-        le = np.empty_like(xe)
-        for d in np.unique(depths):
-            sel = depths == d
-            w = laplace_w(xe[sel] + 1j * y, int(d))
-            ke[sel] = w.real
-            le[sel] = w.imag
-        k[external] = ke
-        l[external] = le
-    return VoigtValue(k, l_sign * l)
+    else:
+        k = np.empty_like(ax)
+        l = np.empty_like(ax)
+        r = np.hypot(ax, y)
+        z_c = boundary_z_c(y, accuracy if accuracy in _BOUNDARY_CUBICS else 1e-16)
+        internal = r < z_c
+        if internal.any():
+            ki, li = eval_w_internal(ax[internal], y, params)
+            k[internal] = ki
+            l[internal] = li
+        external = ~internal
+        if external.any():
+            depths = np.maximum(external_depth(r[external]), params.n_c)
+            w = laplace_w(ax[external] + 1j * y, depths)
+            k[external] = w.real
+            l[external] = w.imag
+    # L is odd in x; negation is exact and keeps the sign of x = -0.0
+    np.negative(l, out=l, where=np.signbit(xs))
+    return VoigtValue(k, l)
 
 
 def eval_w(x, y, accuracy=1e-16, params=None):

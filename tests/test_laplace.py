@@ -10,6 +10,7 @@ from voigtw.scheme import boundary_z_c, external_depth
 def test_large_z_leading_term():
     z = complex(1000, 0.1)
     w = laplace_w(z, 6)
+    assert type(w) is complex
     leading = 1j / (np.sqrt(np.pi) * z)
     assert abs(w - leading) / abs(w) <= 1e-5
     ref = ref_w(1000, 0.1)
@@ -36,10 +37,30 @@ def test_vectorized_matches_scalar():
 
 
 def test_rejects_zero_and_bad_depth():
+    zs = np.array([10 + 0.1j, 20 + 0.1j, 30 + 0.1j])
     with pytest.raises(ValueError):
         laplace_w(0j, 6)
     with pytest.raises(ValueError):
+        laplace_w(zs * [1, 0, 1], np.array([6, 7, 8]))
+    with pytest.raises(ValueError):
         laplace_w(1 + 1j, 0)
+    for bad in ([6, 0, 6], [6, -3, 9]):
+        with pytest.raises(ValueError):
+            laplace_w(zs, np.array(bad))
+
+
+def test_per_point_depth_matches_scalar_depth_bitwise():
+    rng = np.random.default_rng(5)
+    depths = rng.permutation(np.repeat(np.arange(1, 66), 40))
+    zs = rng.uniform(-300, 300, depths.size) + 1j * np.exp(
+        rng.uniform(np.log(1e-30), np.log(0.1), depths.size)
+    )
+    w = laplace_w(zs, depths)
+    for z, d, got in zip(zs, depths, w):
+        assert got == laplace_w(complex(z), int(d)), (z, d)
+    # a short call takes its quotients in a buffer of their own, a long one in place
+    assert np.array_equal(laplace_w(zs[:200], depths[:200]), w[:200])
+    assert laplace_w(np.empty(0, dtype=complex), np.empty(0, dtype=int)).shape == (0,)
 
 
 class TestRelError:

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import rel_err
 from voigtw.laplace import laplace_w
 from voigtw.scheme import (
+    _EXT_DEPTH_EDGES,
+    _EXT_DEPTHS,
     _PARAM_BANDS,
     boundary_z_c,
     eval_w,
@@ -88,6 +90,12 @@ class TestEvalW:
             km, lm = eval_w(-x, y)
             assert km == kp
             assert lm == -lp
+        # x = -0.0 keeps its sign in L, on the axis and off it
+        for y in (0.0, 1e-8, 0.05):
+            kp, lp = eval_w(0.0, y)
+            km, lm = eval_w(-0.0, y)
+            assert km == kp
+            assert np.signbit(lm) and not np.signbit(lp)
 
     @given(
         st.floats(min_value=1e-3, max_value=4000),
@@ -130,6 +138,18 @@ class TestBatch:
             for i, x in enumerate(xs):
                 ks, ls = eval_w(float(x), y)
                 assert ks == kb[i] and ls == lb[i], (x, y)
+        # one x in the middle of every external depth band, all in one
+        # batch: the radius profile sets the depth at 1e-16, the N_C floor
+        # of 22-65 at 1e-100; the lowest band starts at z_c(0.1)
+        edges = np.r_[boundary_z_c(0.1, 1e-16), _EXT_DEPTH_EDGES, 30.0]
+        xs = (edges[:-1] + edges[1:]) / 2
+        assert np.array_equal(external_depth(xs), _EXT_DEPTHS)
+        for accuracy in (1e-16, 1e-100):
+            for y in (1e-8, 0.05, 0.1):
+                kb, lb = eval_w_batch(xs, y, accuracy)
+                for i, x in enumerate(xs):
+                    ks, ls = eval_w(float(x), y, accuracy)
+                    assert ks == kb[i] and ls == lb[i], (x, y, accuracy)
 
     def test_empty(self):
         k, l = eval_w_batch([], 0.05)
