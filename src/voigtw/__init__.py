@@ -11,30 +11,18 @@ never participates in production evaluation.
 from .coeffs import CoeffTables, build_pq_tables, get_tables, hermite_coeffs, p_closed_form
 from .dawson import dawson_cf
 from .laplace import laplace_rel_error, laplace_w
-from .scheme import (
-    BOUNDARY_LEVELS,
-    PARAM_LEVELS,
-    boundary_z_c,
-    eval_w,
-    eval_w_batch,
-    external_depth,
-    select_params,
-)
+from .scheme import boundary_z_c, eval_w, eval_w_batch, external_depth, select_params
 from .taylor import (
     SeriesParams,
     VoigtValue,
     YCoefficientSet,
     build_y_coefficients,
-    eval_K,
-    eval_L,
     eval_w_internal,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BOUNDARY_LEVELS",
-    "PARAM_LEVELS",
     "CoeffTables",
     "SeriesParams",
     "VoigtValue",
@@ -43,8 +31,6 @@ __all__ = [
     "build_pq_tables",
     "build_y_coefficients",
     "dawson_cf",
-    "eval_K",
-    "eval_L",
     "eval_w",
     "eval_w_batch",
     "eval_w_internal",

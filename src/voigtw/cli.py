@@ -24,13 +24,7 @@ import numpy as np
 
 from .laplace import laplace_rel_error
 from .oracle import ref_w, rel_errors
-from .scheme import (
-    BOUNDARY_LEVELS,
-    boundary_z_c,
-    eval_w,
-    eval_w_batch,
-    select_params,
-)
+from .scheme import eval_w, eval_w_batch, select_params
 from .taylor import Y_MAX
 
 _EXIT_DOMAIN = 2
@@ -67,7 +61,7 @@ def _point_deltas(k, l, ref):
 
 
 def cmd_eval(args):
-    value = eval_w(args.x, args.y, accuracy=args.accuracy)
+    value = eval_w(args.x, args.y)
     print(f"K = {value.k:.16e}")
     print(f"L = {value.l:.16e}")
     if args.check:
@@ -88,7 +82,7 @@ def cmd_errmap(args):
         writer.writerow(["x", "y", "delta_re", "delta_im"])
         summary = []
         for y in ys:
-            k_arr, l_arr = eval_w_batch(xs, float(y), accuracy=args.accuracy)
+            k_arr, l_arr = eval_w_batch(xs, float(y))
             d_res, d_ims = [], []
             for x, k, l in zip(xs, k_arr, l_arr):
                 d_re, d_im = _point_deltas(k, l, ref_w(float(x), float(y)))
@@ -203,9 +197,6 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate K and L at one point")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
-    p.add_argument(
-        "--accuracy", type=float, default=1e-16, choices=list(BOUNDARY_LEVELS)
-    )
     p.add_argument("--check", action="store_true", help="also print oracle deltas")
     p.set_defaults(func=cmd_eval)
 
@@ -218,7 +209,6 @@ def build_parser():
     p.add_argument("--y-max", type=float, required=True)
     p.add_argument("--y-count", type=int, required=True)
     p.add_argument("--y-scale", choices=["linear", "log"], default="log")
-    p.add_argument("--accuracy", type=float, default=1e-16)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_errmap)
 

@@ -127,12 +127,3 @@ def get_tables(m_max=DEFAULT_M_MAX):
         q_rows=tuple(tuple(r) for r in q_rows),
         m_max=m_max,
     )
-
-
-def dump_tables_csv(stream, m_max=DEFAULT_M_MAX):
-    """Debug dump of the p and q tables, one CSV row per m, exact integers."""
-    tables = get_tables(m_max)
-    for name, rows in (("p", tables.p_rows), ("q", tables.q_rows)):
-        for m, row in enumerate(rows):
-            cells = ",".join(str(c) for c in row)
-            stream.write(f"{name},{m}" + ("," + cells if cells else "") + "\n")

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 import mpmath as mp
 
 _BASE_DPS = 40
+# Hard ceiling on the escalated working precision: enough for a small
+# component ~950 orders of magnitude below the large one.
+_MAX_DPS = 1000
 
 
 class OracleError(Exception):
@@ -64,8 +67,11 @@ def ref_w(x, y):
         with mp.workdps(_BASE_DPS):
             return mp.mpc(ref_erfcx(y), 0)
 
+    # Each round either certifies >= _BASE_DPS digits in the small
+    # component or raises dps past the measured deficit, so dps grows
+    # strictly until the small component is resolved or the ceiling hit.
     dps = _BASE_DPS
-    for _ in range(3):
+    while dps <= _MAX_DPS:
         w = _w_closed_form(ax, y, dps)
         with mp.workdps(dps):
             small = min(abs(w.real), abs(w.imag))
@@ -77,7 +83,9 @@ def ref_w(x, y):
             if dps >= _BASE_DPS + deficit:
                 return mp.mpc(w.real, sign * w.imag)
             dps = int(_BASE_DPS + 10 + deficit)
-    raise OracleError(f"ref_w failed to stabilize at x={x}, y={y}")
+    raise OracleError(
+        f"ref_w failed to stabilize at x={x}, y={y} within {_MAX_DPS} digits"
+    )
 
 
 def quad_w(x, y, dps=35, maxdegree=6, t_max=None):

@@ -9,14 +9,17 @@ The external depth deserves a note.  The tabulated N_C values are tuned
 for the fixed |z| >= 22 split; close to z_c(y) the fraction needs more
 levels (about 19 at |z| ~ 6.65, falling to 6 by |z| ~ 20).  That profile
 was calibrated against the high-accuracy oracle on a dense radius grid
-and is applied per point as a step function of |z|, floored at the
-tabulated N_C.  The whole external branch is one Laplace fraction call
-with one depth per point, so batch and scalar evaluation agree bit for
-bit.
+and is applied per point as a step function of |z|.  Its last step is
+the tabulated N_C = 6, so no floor is needed.  The whole external branch
+is one Laplace fraction call with one depth per point, so batch and
+scalar evaluation agree bit for bit.
+
+The evaluator runs at the one accuracy level float64 can meet, 1e-16.
+The paper's tables for the other levels are kept as data: `boundary_z_c`
+and `select_params` still look them up by level.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,12 +28,6 @@ from .laplace import laplace_w
 from .taylor import SeriesParams, VoigtValue, Y_MAX, eval_w_internal
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
-
-#: Accuracy levels with a calibrated boundary cubic.
-BOUNDARY_LEVELS = (1e-16, 1e-20, 1e-40, 1e-60, 1e-80, 1e-100)
-
-#: Accuracy levels with a calibrated parameter table (double / multi precision).
-PARAM_LEVELS = (1e-16, 1e-100)
 
 # z_c(y) = c0 + c1 u + c2 u^2 + c3 u^3 with u = ln y, per accuracy level
 _BOUNDARY_CUBICS = {
@@ -118,7 +115,7 @@ def external_depth(r):
     return out if out.ndim else int(out)
 
 
-def eval_w_batch(xs, y, accuracy=1e-16, params=None):
+def eval_w_batch(xs, y):
     """Evaluate w(x + iy) = K + iL over an array of x sharing one y.
 
     Identical, bit for bit, to mapping eval_w over xs: the per-y
@@ -126,12 +123,9 @@ def eval_w_batch(xs, y, accuracy=1e-16, params=None):
     fraction depth) depends only on that point.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if not 0.0 <= y <= Y_MAX:
-        raise ValueError(f"y must lie in [0, {Y_MAX}], got {y}")
+    params = select_params(y)  # also rejects y outside [0, Y_MAX]
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
-    if params is None:
-        params = select_params(y, accuracy)
     ax = np.abs(xs)
 
     if y == 0.0:
@@ -142,16 +136,14 @@ def eval_w_batch(xs, y, accuracy=1e-16, params=None):
         k = np.empty_like(ax)
         l = np.empty_like(ax)
         r = np.hypot(ax, y)
-        z_c = boundary_z_c(y, accuracy if accuracy in _BOUNDARY_CUBICS else 1e-16)
-        internal = r < z_c
+        internal = r < boundary_z_c(y)
         if internal.any():
             ki, li = eval_w_internal(ax[internal], y, params)
             k[internal] = ki
             l[internal] = li
         external = ~internal
         if external.any():
-            depths = np.maximum(external_depth(r[external]), params.n_c)
-            w = laplace_w(ax[external] + 1j * y, depths)
+            w = laplace_w(ax[external] + 1j * y, external_depth(r[external]))
             k[external] = w.real
             l[external] = w.imag
     # L is odd in x; negation is exact and keeps the sign of x = -0.0
@@ -159,7 +151,7 @@ def eval_w_batch(xs, y, accuracy=1e-16, params=None):
     return VoigtValue(k, l)
 
 
-def eval_w(x, y, accuracy=1e-16, params=None):
+def eval_w(x, y):
     """Evaluate w(x + iy) at a single point; returns VoigtValue(k, l)."""
-    k, l = eval_w_batch(np.asarray([x], dtype=np.float64), y, accuracy, params)
+    k, l = eval_w_batch(np.asarray([x], dtype=np.float64), y)
     return VoigtValue(float(k[0]), float(l[0]))

@@ -8,12 +8,15 @@ plus one Dawson continued fraction and one exp(-x^2):
     L = (1/sqrt(pi)) F(x) * A(x^2) + x e^{-x^2} B(x^2) + (1/sqrt(pi)) x G(x^2)
     K = (1/sqrt(pi)) (F(x)/x) A'(x^2) + e^{-x^2} B'(x^2) + (1/sqrt(pi)) G'(x^2)
 
-with the x = 0 limit F(x)/x -> 1 baked into a separate branch.  The fold
-is O(N^2) but x-independent, so it is cached per (y, N) and shared by
-batch evaluation.
+with the x = 0 limit F(x)/x -> 1 baked into a separate branch.  Both are
+assembled by one function, `eval_w_internal`, which shares x^2, F(x) and
+exp(-x^2) between them.  The fold is O(N^2) but x-independent, so it is
+shared by batch evaluation and kept in a bounded LRU cache keyed by
+(y, params), holding the 128 most recently used sets.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +57,7 @@ class YCoefficientSet:
     gamma_p: tuple
 
 
-def build_y_coefficients(y, params, tables=None):
+def build_y_coefficients(y, params):
     """Fold the integer tables with powers of y into a YCoefficientSet.
 
     Accumulation runs in descending m (smallest terms first) and the
@@ -63,11 +66,8 @@ def build_y_coefficients(y, params, tables=None):
     """
     if not 0.0 <= y <= Y_MAX:
         raise ValueError(f"y must lie in [0, {Y_MAX}], got {y}")
-    if tables is None:
-        tables = get_tables(max(DEFAULT_M_MAX, params.n))
+    tables = get_tables(max(DEFAULT_M_MAX, params.n))
     n_max = params.n
-    if n_max > tables.m_max:
-        raise ValueError(f"N={n_max} exceeds table m_max={tables.m_max}")
     y = float(y)
     y2 = y * y
 
@@ -118,16 +118,10 @@ def build_y_coefficients(y, params, tables=None):
     )
 
 
-_COEFF_CACHE = {}
-
-
-def cached_y_coefficients(y, params, tables=None):
-    key = (float(y), params.n)
-    got = _COEFF_CACHE.get(key)
-    if got is None:
-        got = build_y_coefficients(y, params, tables)
-        _COEFF_CACHE[key] = got
-    return got
+@lru_cache(maxsize=128)
+def cached_y_coefficients(y, params):
+    """Memoized build_y_coefficients; the sets are immutable, so sharing is safe."""
+    return build_y_coefficients(y, params)
 
 
 def _horner(coeffs, x2):
@@ -140,59 +134,35 @@ def _horner(coeffs, x2):
     return acc
 
 
-def eval_L(x, coeffs, params, _dawson=None, _expx2=None):
-    """Series value of the imaginary part L(x, y) for x >= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    x2 = x * x
-    f = dawson_cf(x, params.n_d) if _dawson is None else _dawson
-    ex = np.exp(-x2) if _expx2 is None else _expx2
-    out = (
-        _ONE_OVER_SQRT_PI * f * _horner(coeffs.alpha, x2)
-        + x * ex * _horner(coeffs.beta, x2)
-        + _ONE_OVER_SQRT_PI * x * _horner(coeffs.gamma, x2)
-    )
-    return out if out.ndim else float(out)
-
-
-def eval_K(x, coeffs, params, _dawson=None, _expx2=None):
-    """Series value of the Voigt function K(x, y) for x >= 0.
-
-    The x = 0 branch (where F(x)/x -> 1 and exp(-x^2) = 1) is selected by
-    exact equality only; for any x > 0 the direct formula is
-    well-conditioned.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    x2 = x * x
-    f = dawson_cf(x, params.n_d) if _dawson is None else _dawson
-    ex = np.exp(-x2) if _expx2 is None else _expx2
-    safe_x = np.where(x > 0.0, x, 1.0)
-    out = (
-        _ONE_OVER_SQRT_PI * (f / safe_x) * _horner(coeffs.alpha_p, x2)
-        + ex * _horner(coeffs.beta_p, x2)
-        + _ONE_OVER_SQRT_PI * _horner(coeffs.gamma_p, x2)
-    )
-    gp0 = coeffs.gamma_p[0] if coeffs.gamma_p else 0.0
-    at_zero = (
-        _ONE_OVER_SQRT_PI * coeffs.alpha_p[0]
-        + coeffs.beta_p[0]
-        + _ONE_OVER_SQRT_PI * gp0
-    )
-    out = np.where(x == 0.0, at_zero, out)
-    return out if out.ndim else float(out)
-
-
-def eval_w_internal(x, y, params, tables=None):
+def eval_w_internal(x, y, params):
     """Internal-branch evaluation of (K, L) at x >= 0, 0 <= y <= 0.1.
 
-    Reuses the cached coefficient fold for y; the Dawson fraction and
-    exp(-x^2) are computed once and shared between K and L.
+    Reuses the cached coefficient fold for y; x^2, the Dawson fraction
+    and exp(-x^2) are computed once and shared between K and L.  The
+    x = 0 branch of K (where F(x)/x -> 1 and exp(-x^2) = 1) is selected
+    by exact equality only; for any x > 0 the direct formula is
+    well-conditioned.
     """
-    coeffs = cached_y_coefficients(y, params, tables)
-    xa = np.asarray(x, dtype=np.float64)
-    f = dawson_cf(xa, params.n_d)
-    ex = np.exp(-xa * xa)
-    k = eval_K(xa, coeffs, params, _dawson=f, _expx2=ex)
-    l = eval_L(xa, coeffs, params, _dawson=f, _expx2=ex)
-    if np.ndim(k) == 0:
+    c = cached_y_coefficients(float(y), params)
+    x = np.asarray(x, dtype=np.float64)
+    f = dawson_cf(x, params.n_d)
+    x2 = x * x
+    ex = np.exp(-x2)
+    # K before L, and the x > 0 guard freed as soon as it is used: fewer
+    # large temporaries live at once, so big batches fault fewer heap pages
+    k = (
+        _ONE_OVER_SQRT_PI * (f / np.where(x > 0.0, x, 1.0)) * _horner(c.alpha_p, x2)
+        + ex * _horner(c.beta_p, x2)
+        + _ONE_OVER_SQRT_PI * _horner(c.gamma_p, x2)
+    )
+    gp0 = c.gamma_p[0] if c.gamma_p else 0.0
+    at_zero = _ONE_OVER_SQRT_PI * c.alpha_p[0] + c.beta_p[0] + _ONE_OVER_SQRT_PI * gp0
+    k = np.where(x == 0.0, at_zero, k)
+    l = (
+        _ONE_OVER_SQRT_PI * f * _horner(c.alpha, x2)
+        + x * ex * _horner(c.beta, x2)
+        + _ONE_OVER_SQRT_PI * x * _horner(c.gamma, x2)
+    )
+    if k.ndim == 0:
         return VoigtValue(float(k), float(l))
     return VoigtValue(k, l)

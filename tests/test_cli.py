@@ -27,6 +27,13 @@ class TestEval:
         out = capsys.readouterr().out.splitlines()
         assert float(out[2].split("=")[1]) == 0.0
 
+    @pytest.mark.parametrize("command", ["eval", "errmap"])
+    def test_no_accuracy_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = capsys.readouterr().out
+        assert "--y" in help_text and "--accuracy" not in help_text
+
     @pytest.mark.parametrize("y", ["0.2", "-0.01"])
     def test_domain_error_exits_2(self, y, capsys):
         assert main(["eval", "--x", "1.0", "--y", y]) == 2

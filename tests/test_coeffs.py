@@ -1,10 +1,7 @@
-import io
-
 import pytest
 
 from voigtw.coeffs import (
     build_pq_tables,
-    dump_tables_csv,
     get_tables,
     hermite_coeffs,
     p_closed_form,
@@ -130,11 +127,3 @@ def test_get_tables_cached_and_covers_m16():
     assert t.m_max == 16
     assert t is get_tables()
     assert set(t.h_rows) == set(range(1, 34, 2))
-
-
-def test_dump_tables_csv():
-    buf = io.StringIO()
-    dump_tables_csv(buf, m_max=2)
-    lines = buf.getvalue().splitlines()
-    assert "q,2,40,-16" in lines
-    assert "p,0,2" in lines

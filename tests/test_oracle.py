@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
+from voigtw import oracle
 from voigtw.laplace import laplace_w
 from voigtw.oracle import (
     ErrorReport,
     OracleError,
+    _w_closed_form,
     quad_w,
     ref_dawson,
     ref_erfcx,
@@ -44,6 +46,21 @@ class TestRefW:
         w = ref_w(4000, 1e-100)
         asym = 1e-100 / (math.sqrt(math.pi) * (4000.0**2))
         assert rel_err(asym, w.real) < 1e-5
+
+    @pytest.mark.parametrize("x,y", [(19.3, 1e-200), (25.0, 5e-324)])
+    def test_escalates_past_200_digit_deficit(self, x, y):
+        # Re(w) sits ~160 and ~270 orders below Im(w), so the working
+        # precision has to climb past 200 digits
+        w = ref_w(x, y)
+        r = _w_closed_form(x, y, 400)
+        with mp.workdps(400):
+            assert abs(w.real - r.real) <= mp.mpf("1e-35") * abs(r.real)
+            assert abs(w.imag - r.imag) <= mp.mpf("1e-35") * abs(r.imag)
+
+    def test_precision_ceiling_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_DPS", 150)
+        with pytest.raises(OracleError):
+            ref_w(19.3, 1e-200)
 
     def test_rejects_y_outside(self):
         with pytest.raises(ValueError):

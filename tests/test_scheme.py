@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +83,13 @@ def test_external_depth_steps():
     assert external_depth(6.7) == 21
     assert external_depth(25.0) == 6
     assert np.all(np.diff(external_depth(np.linspace(6.7, 40, 50))) <= 0)
+    # the profile never falls below the tabulated N_C, so it needs no floor
+    assert all(n_c <= _EXT_DEPTHS.min() for *_, n_c in _PARAM_BANDS[1e-16])
+
+
+def test_evaluators_take_only_x_and_y():
+    assert list(inspect.signature(eval_w_batch).parameters) == ["xs", "y"]
+    assert list(inspect.signature(eval_w).parameters) == ["x", "y"]
 
 
 class TestEvalW:
@@ -139,17 +148,16 @@ class TestBatch:
                 ks, ls = eval_w(float(x), y)
                 assert ks == kb[i] and ls == lb[i], (x, y)
         # one x in the middle of every external depth band, all in one
-        # batch: the radius profile sets the depth at 1e-16, the N_C floor
-        # of 22-65 at 1e-100; the lowest band starts at z_c(0.1)
+        # batch, so the radius profile sets a different depth per point;
+        # the lowest band starts at z_c(0.1)
         edges = np.r_[boundary_z_c(0.1, 1e-16), _EXT_DEPTH_EDGES, 30.0]
         xs = (edges[:-1] + edges[1:]) / 2
         assert np.array_equal(external_depth(xs), _EXT_DEPTHS)
-        for accuracy in (1e-16, 1e-100):
-            for y in (1e-8, 0.05, 0.1):
-                kb, lb = eval_w_batch(xs, y, accuracy)
-                for i, x in enumerate(xs):
-                    ks, ls = eval_w(float(x), y, accuracy)
-                    assert ks == kb[i] and ls == lb[i], (x, y, accuracy)
+        for y in (1e-8, 0.05, 0.1):
+            kb, lb = eval_w_batch(xs, y)
+            for i, x in enumerate(xs):
+                ks, ls = eval_w(float(x), y)
+                assert ks == kb[i] and ls == lb[i], (x, y)
 
     def test_empty(self):
         k, l = eval_w_batch([], 0.05)

@@ -6,11 +6,11 @@ import pytest
 from conftest import rel_err
 from voigtw.dawson import dawson_cf
 from voigtw.oracle import ref_erfcx, ref_w
+from voigtw.scheme import eval_w_batch
 from voigtw.taylor import (
     SeriesParams,
     build_y_coefficients,
-    eval_K,
-    eval_L,
+    cached_y_coefficients,
     eval_w_internal,
 )
 
@@ -64,39 +64,44 @@ class TestCoefficientFold:
             build_y_coefficients(bad, P16)
 
 
+def test_fold_cache_is_bounded():
+    cached_y_coefficients.cache_clear()
+    for y in np.linspace(1e-4, 0.1, 300):
+        eval_w_batch([1.0], float(y))
+    info = cached_y_coefficients.cache_info()
+    assert info.misses == 300
+    assert info.currsize <= 128
+    eval_w_batch([2.0], 0.1)
+    assert cached_y_coefficients.cache_info().hits == info.hits + 1
+
+
 class TestEvalL:
     def test_zero_at_origin(self):
-        c = build_y_coefficients(0.05, P16)
-        assert eval_L(0.0, c, P16) == 0.0
+        assert eval_w_internal(0.0, 0.05, P16).l == 0.0
 
     def test_y0_is_scaled_dawson_exact(self):
-        c = build_y_coefficients(0.0, P16)
         xs = np.linspace(0, 25, 301)
         expect = (2.0 / np.sqrt(np.pi)) * dawson_cf(xs, P16.n_d)
-        assert np.array_equal(eval_L(xs, c, P16), expect)
+        assert np.array_equal(eval_w_internal(xs, 0.0, P16).l, expect)
 
     def test_interior_point_vs_oracle(self):
         p = SeriesParams(6, 61, 6)  # the 0.039811 <= y < 0.063096 band
-        c = build_y_coefficients(0.05, p)
         ref = ref_w(1, 0.05)
-        assert rel_err(eval_L(1.0, c, p), ref.imag) <= 1e-15
+        assert rel_err(eval_w_internal(1.0, 0.05, p).l, ref.imag) <= 1e-15
 
 
 class TestEvalK:
     def test_y0_is_gaussian(self):
-        c = build_y_coefficients(0.0, P16)
         xs = np.linspace(0, 25, 301)
-        assert np.array_equal(eval_K(xs, c, P16), np.exp(-xs * xs))
-        assert eval_K(1.0, c, P16) == math.exp(-1)
+        assert np.array_equal(eval_w_internal(xs, 0.0, P16).k, np.exp(-xs * xs))
+        assert eval_w_internal(1.0, 0.0, P16).k == math.exp(-1)
 
     def test_x0_y0(self):
-        c = build_y_coefficients(0.0, P16)
-        assert eval_K(0.0, c, P16) == 1.0
+        assert eval_w_internal(0.0, 0.0, P16).k == 1.0
 
     def test_x0_matches_erfcx(self):
         p = SeriesParams(7, 61, 6)
-        c = build_y_coefficients(0.1, p)
-        assert rel_err(eval_K(0.0, c, p), ref_erfcx(0.1)) <= 1e-15
+        assert rel_err(eval_w_internal(0.0, 0.1, p).k, ref_erfcx(0.1)) <= 1e-15
 
 
 class TestEvalWInternal:
