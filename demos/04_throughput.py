@@ -2,10 +2,12 @@
 Batch throughput
 ================
 
-A million points per domain at y = 1e-8, timed.  The batch path folds the
-per-y series coefficients once for the whole array, evaluates the
-internal points with the Taylor series, and evaluates all external points
-in one Laplace continued-fraction call with one depth per point.  Results
+A million points per domain at y = 1e-8, timed.  The domains split at
+z_c(y), as the dispatcher splits them (the sample `voigtw bench` draws).
+The batch path folds the per-y series coefficients once for the whole
+array, evaluates the internal points with the Taylor series, and
+evaluates all external points in one Laplace continued-fraction call with
+one depth per point.  Results
 are bit-identical to pointwise evaluation.  The printed rate depends on
 the machine; perfbench/ holds the benchmark and its measured numbers.
 """
@@ -15,11 +17,11 @@ import time
 import numpy as np
 
 from voigtw import eval_w, eval_w_batch
+from voigtw.cli import bench_points
 
-rng = np.random.default_rng(0)
 y = 1e-8
-for label, lo, hi in [("internal", 1e-6, 21.9), ("external", 22.0, 4000.0)]:
-    xs = np.exp(rng.uniform(np.log(lo), np.log(hi), 1_000_000))
+for label in ("internal", "external"):
+    xs = bench_points(y, label, 1_000_000, seed=0)
     t0 = time.perf_counter()
     k, l = eval_w_batch(xs, y)
     dt = time.perf_counter() - t0

@@ -17,6 +17,7 @@ is byte-deterministic for fixed flags and seed (timing fields excluded).
 import argparse
 import csv
 import hashlib
+import math
 import sys
 import time
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .laplace import laplace_rel_error
 from .oracle import ref_w, rel_errors
-from .scheme import eval_w, eval_w_batch, select_params
+from .scheme import boundary_z_c, eval_w, eval_w_batch, select_params
 from .taylor import Y_MAX
 
 _EXIT_DOMAIN = 2
@@ -106,18 +107,27 @@ def cmd_errmap(args):
 def bench_points(y, domain, count, seed):
     """Seeded log-uniform x sample for one bench domain.
 
-    Internal points satisfy |z| < 22, external 22 <= |z| <= 4000, with
-    |z| = hypot(x, y) exactly as the dispatcher computes it.
+    Internal points satisfy |z| < z_c(y), external z_c(y) <= |z| <= 4000,
+    with |z| = hypot(x, y) as the dispatcher computes it.  At y = 0 every
+    point takes the series: internal spans [1e-6, 4000], external is an error.
     """
     rng = np.random.default_rng(seed)
-    x_at_22 = np.sqrt(22.0**2 - y * y)
-    if domain == "internal":
-        lo, hi = 1e-6, x_at_22
-    else:
-        lo, hi = x_at_22, np.sqrt(4000.0**2 - y * y)
-    xs = np.exp(rng.uniform(np.log(lo), np.log(hi), count))
+    x_max = math.sqrt(4000.0**2 - y * y)
+    x_in = x_c = x_max  # y = 0: no boundary, every point takes the series
+    if y > 0.0:
+        # x_c: the smallest x the dispatcher sends to the Laplace fraction
+        z_c = boundary_z_c(y)
+        x_c = math.sqrt(z_c * z_c - y * y)
+        while np.hypot(x_c, y) < z_c:
+            x_c = math.nextafter(x_c, math.inf)
+        while np.hypot(x_in := math.nextafter(x_c, 0.0), y) >= z_c:
+            x_c = x_in
+    elif domain == "external":
+        raise ValueError("y = 0 has no external domain")
+    lo, hi = (1e-6, x_in) if domain == "internal" else (x_c, x_max)
+    xs = np.exp(rng.uniform(math.log(lo), math.log(hi), count))
     # keep strictly inside the requested band despite rounding at the edges
-    return np.clip(xs, lo if domain == "external" else 0.0, hi)
+    return np.clip(xs, lo, hi)
 
 
 def cmd_bench(args):
@@ -127,7 +137,7 @@ def cmd_bench(args):
     for y in args.y:
         if not 0.0 <= y <= Y_MAX:
             raise ValueError(f"y must lie in [0, {Y_MAX}], got {y}")
-        for domain in domains:
+        for domain in domains if y > 0.0 else domains[:1]:  # y = 0: no external
             xs = bench_points(y, domain, args.count, args.seed)
             t0 = time.perf_counter()
             k_arr, l_arr = eval_w_batch(xs, y)

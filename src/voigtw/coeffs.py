@@ -17,9 +17,9 @@ before m = 16.  Conversion to floating point happens downstream, when the
 tables are folded with powers of y.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 
 DEFAULT_M_MAX = 16
@@ -103,8 +103,7 @@ def p_closed_form(m, k):
     return num // den
 
 
-@dataclass(frozen=True)
-class CoeffTables:
+class CoeffTables(NamedTuple):
     """Immutable bundle of the exact integer tables up to a given m_max.
 
     h_rows maps odd n = 1, 3, ..., 2*m_max+1 to the Hermite rows.
@@ -119,11 +118,6 @@ class CoeffTables:
 @lru_cache(maxsize=None)
 def get_tables(m_max=DEFAULT_M_MAX):
     """Build (once) and memoize the coefficient tables up to m_max."""
-    p_rows, q_rows = build_pq_tables(m_max)
+    p_rows, q_rows = (tuple(map(tuple, rows)) for rows in build_pq_tables(m_max))
     h_rows = {n: hermite_coeffs(n) for n in range(1, 2 * m_max + 2, 2)}
-    return CoeffTables(
-        h_rows=h_rows,
-        p_rows=tuple(tuple(r) for r in p_rows),
-        q_rows=tuple(tuple(r) for r in q_rows),
-        m_max=m_max,
-    )
+    return CoeffTables(h_rows, p_rows, q_rows, m_max)

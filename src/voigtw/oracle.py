@@ -16,7 +16,7 @@ Axis cases use analytic closed forms (K(x,0) = exp(-x^2), L(x,0) =
 Nothing in here is ever used on the production evaluation path.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -142,8 +142,7 @@ def quad_w(x, y, dps=35, maxdegree=6, t_max=None):
         return mp.mpc(k_val, l_val)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Componentwise relative errors of an approximation at one point."""
 
     delta_re: float

@@ -130,7 +130,8 @@ def eval_w_batch(xs, y):
 
     if y == 0.0:
         # Analytic collapse of the series: exact at y = 0 for every x.
-        k = np.exp(-ax * ax)
+        # e^{-x^2} is 0 from x ~ 27.3 on; the clamp keeps x^2 finite.
+        k = np.exp(-np.square(np.minimum(ax, 30.0)))
         l = _TWO_OVER_SQRT_PI * dawson_cf(ax, params.n_d)
     else:
         k = np.empty_like(ax)

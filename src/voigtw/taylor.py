@@ -8,14 +8,13 @@ plus one Dawson continued fraction and one exp(-x^2):
     L = (1/sqrt(pi)) F(x) * A(x^2) + x e^{-x^2} B(x^2) + (1/sqrt(pi)) x G(x^2)
     K = (1/sqrt(pi)) (F(x)/x) A'(x^2) + e^{-x^2} B'(x^2) + (1/sqrt(pi)) G'(x^2)
 
-with the x = 0 limit F(x)/x -> 1 baked into a separate branch.  Both are
-assembled by one function, `eval_w_internal`, which shares x^2, F(x) and
-exp(-x^2) between them.  The fold is O(N^2) but x-independent, so it is
-shared by batch evaluation and kept in a bounded LRU cache keyed by
-(y, params), holding the 128 most recently used sets.
+where F(x)/x takes its limit 1 at x = 0, so the same sum gives K(0, y) =
+e^{y^2} erfc y.  Both are assembled by one function, `eval_w_internal`,
+which shares x^2, F(x) and exp(-x^2) between them.  The fold is O(N^2)
+but x-independent, so it is shared by batch evaluation and kept in a
+bounded LRU cache keyed by (y, params), holding the 128 most recent sets.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -44,11 +43,9 @@ class VoigtValue(NamedTuple):
     l: float
 
 
-@dataclass(frozen=True)
-class YCoefficientSet:
+class YCoefficientSet(NamedTuple):
     """Per-y folded series coefficients for a fixed truncation order N."""
 
-    y: float
     alpha: tuple
     beta: tuple
     gamma: tuple
@@ -108,13 +105,8 @@ def build_y_coefficients(y, params):
             gamma.append(g)
             gamma_p.append(y * g - 0.5 * gp)
     return YCoefficientSet(
-        y=y,
-        alpha=tuple(alpha),
-        beta=tuple(beta),
-        gamma=tuple(gamma),
-        alpha_p=tuple(alpha_p),
-        beta_p=tuple(beta_p),
-        gamma_p=tuple(gamma_p),
+        tuple(alpha), tuple(beta), tuple(gamma),
+        tuple(alpha_p), tuple(beta_p), tuple(gamma_p),
     )
 
 
@@ -138,26 +130,23 @@ def eval_w_internal(x, y, params):
     """Internal-branch evaluation of (K, L) at x >= 0, 0 <= y <= 0.1.
 
     Reuses the cached coefficient fold for y; x^2, the Dawson fraction
-    and exp(-x^2) are computed once and shared between K and L.  The
-    x = 0 branch of K (where F(x)/x -> 1 and exp(-x^2) = 1) is selected
-    by exact equality only; for any x > 0 the direct formula is
-    well-conditioned.
+    and exp(-x^2) are computed once and shared between K and L.  F(x)/x
+    takes its limit 1 at x = 0, where the quotient itself is 0/0.
     """
     c = cached_y_coefficients(float(y), params)
     x = np.asarray(x, dtype=np.float64)
     f = dawson_cf(x, params.n_d)
     x2 = x * x
     ex = np.exp(-x2)
-    # K before L, and the x > 0 guard freed as soon as it is used: fewer
-    # large temporaries live at once, so big batches fault fewer heap pages
+    # K before L, and F(x)/x freed as soon as it is used: fewer large
+    # temporaries live at once, so big batches fault fewer heap pages
     k = (
-        _ONE_OVER_SQRT_PI * (f / np.where(x > 0.0, x, 1.0)) * _horner(c.alpha_p, x2)
+        _ONE_OVER_SQRT_PI
+        * np.divide(f, x, out=np.ones_like(x), where=x != 0.0)
+        * _horner(c.alpha_p, x2)
         + ex * _horner(c.beta_p, x2)
         + _ONE_OVER_SQRT_PI * _horner(c.gamma_p, x2)
     )
-    gp0 = c.gamma_p[0] if c.gamma_p else 0.0
-    at_zero = _ONE_OVER_SQRT_PI * c.alpha_p[0] + c.beta_p[0] + _ONE_OVER_SQRT_PI * gp0
-    k = np.where(x == 0.0, at_zero, k)
     l = (
         _ONE_OVER_SQRT_PI * f * _horner(c.alpha, x2)
         + x * ex * _horner(c.beta, x2)

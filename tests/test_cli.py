@@ -151,14 +151,24 @@ class TestBench:
         assert main(["bench", "--count", "10", "--y", "0.5"]) == 2
 
     def test_points_respect_domains(self):
-        y = 1e-8
-        internal = bench_points(y, "internal", 500, 3)
-        external = bench_points(y, "external", 500, 3)
-        assert np.all(np.hypot(internal, y) < 22.0 + 1e-9)
-        assert np.all(np.hypot(external, y) >= 22.0 - 1e-9)
-        assert np.all(external <= 4000.0)
-        # seeded, hence reproducible
-        assert np.array_equal(internal, bench_points(y, "internal", 500, 3))
+        # split at z_c(y), exactly where the dispatcher splits
+        for y in (1e-300, 1e-8, 1e-3, 0.05, 0.1):
+            z_c = boundary_z_c(y)
+            internal = bench_points(y, "internal", 500, 3)
+            external = bench_points(y, "external", 500, 3)
+            assert np.all(np.hypot(internal, y) < z_c)
+            assert np.all(np.hypot(external, y) >= z_c)
+            assert np.all(external <= 4000.0)
+            # seeded, hence reproducible
+            assert np.array_equal(internal, bench_points(y, "internal", 500, 3))
+
+    def test_y0_has_only_the_internal_domain(self, capsys):
+        assert bench_points(0.0, "internal", 500, 3).max() > 22.0
+        assert main(["bench", "--count", "10", "--y", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[2] for line in lines] == ["internal"]
+        assert main(["bench", "--count", "10", "--y", "0", "--domain", "external"]) == 2
+        assert "no external domain" in capsys.readouterr().err
 
 
 class TestBoundary:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +63,21 @@ def test_vectorized_matches_scalar():
     xs = np.array([0.3, 1.7, 9.2])
     vec = dawson_cf(xs, 61)
     assert all(vec[i] == dawson_cf(float(xs[i]), 61) for i in range(3))
+
+
+@pytest.mark.parametrize("n_d", [1, 61, 344])
+def test_huge_x_finite_and_asymptotic(n_d):
+    # far out 4 n_d x^2 overflows; there D(x) = 1/(2x) in double precision
+    xs = np.array([1e100, 4e152, 1e153, 1e200, 1e300, np.finfo(float).max])
+    xs = np.concatenate([xs, -xs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = dawson_cf(np.r_[xs, 0.0, 1.0], n_d)
+        for i, x in enumerate(xs):
+            d = dawson_cf(float(x), n_d)
+            assert d == vec[i]
+            assert rel_err(d, 0.5 / x) <= ulps(1)
+    assert vec[-2] == 0.0 and vec[-1] == dawson_cf(1.0, n_d)
 
 
 @pytest.mark.parametrize("bad", [0, -1])

@@ -1,5 +1,8 @@
 import inspect
+import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +141,17 @@ class TestEvalW:
         assert np.array_equal(k, np.exp(-xs * xs))
         assert np.all(np.isfinite(l))
 
+    @pytest.mark.parametrize("x", [1e153, 1e200, 1e300, 1.7976931348623157e308])
+    def test_y0_huge_x(self, x):
+        # D(x) = 1/(2x) in double precision, so L = 1/(sqrt(pi) |x|) to 1 ulp
+        ref = 1 / (mp.sqrt(mp.pi) * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sign in (1.0, -1.0):
+                k, l = eval_w(sign * x, 0.0)
+                assert k == 0.0
+                assert abs(sign * l - ref) <= np.spacing(float(ref))
+
 
 class TestBatch:
     def test_batch_matches_pointwise_bitwise(self):
@@ -201,3 +215,37 @@ def test_fixed_22_split_equivalent():
             we = laplace_w(complex(x, y), max(external_depth(r), params.n_c))
             assert abs(ki - we.real) / abs(we.real) <= 5e-13
             assert abs(li - we.imag) / abs(we.imag) <= 2e-15
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.uint64)
+
+
+# The whole accepted input contract: y = 0 or log-uniform down to the
+# smallest subnormal, |x| = 0, the smallest subnormal, or log-uniform up
+# to 1.7e308, either sign.
+_Y = st.one_of(
+    st.just(0.0),
+    st.floats(math.log(5e-324), math.log(0.1)).map(
+        lambda u: min(max(math.exp(u), 5e-324), 0.1)
+    ),
+)
+_AX = st.one_of(
+    st.sampled_from([0.0, 5e-324]),
+    st.floats(math.log(1e-300), math.log(1.7e308)).map(math.exp),
+)
+_X = st.tuples(_AX, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@given(st.lists(_X, min_size=1, max_size=6), _Y)
+@settings(max_examples=200, deadline=None)
+def test_input_contract_property(xs, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kb, lb = eval_w_batch(xs, y)
+        assert np.all(np.isfinite(kb)) and np.all(np.isfinite(lb))
+        for i, x in enumerate(xs):
+            k, l = eval_w(x, y)
+            km, lm = eval_w(-x, y)
+            assert _bits(k) == _bits(kb[i]) and _bits(l) == _bits(lb[i]), (x, y)
+            assert _bits(km) == _bits(k) and _bits(lm) == _bits(-l), (x, y)
