@@ -3,7 +3,8 @@ and the empirical boundary search.
 
 Subcommands:
 
-* ``eval``     -- evaluate K and L at one point, optionally with oracle deltas
+* ``eval``     -- evaluate K and L at one point, optionally with oracle deltas,
+                  and name the branch taken and its fraction depth
 * ``errmap``   -- CSV of per-point relative errors vs the oracle over a grid,
                   with per-y max/mean aggregates
 * ``bench``    -- seeded throughput report for internal / external points
@@ -25,7 +26,7 @@ import numpy as np
 
 from .laplace import laplace_rel_error
 from .oracle import ref_w, rel_errors
-from .scheme import boundary_z_c, eval_w, eval_w_batch, select_params
+from .scheme import boundary_x_c, eval_w, eval_w_batch, point_branch, select_params
 from .taylor import Y_MAX
 
 _EXIT_DOMAIN = 2
@@ -70,6 +71,9 @@ def cmd_eval(args):
         d_re, d_im = _point_deltas(value.k, value.l, ref)
         print(f"delta_re = {d_re:.3e}")
         print(f"delta_im = {d_im:.3e}")
+    branch, depth = point_branch(args.x, args.y)
+    print(f"branch = {branch}")
+    print(f"{'laplace' if branch == 'external' else 'dawson'}_depth = {depth}")
     return 0
 
 
@@ -115,13 +119,8 @@ def bench_points(y, domain, count, seed):
     x_max = math.sqrt(4000.0**2 - y * y)
     x_in = x_c = x_max  # y = 0: no boundary, every point takes the series
     if y > 0.0:
-        # x_c: the smallest x the dispatcher sends to the Laplace fraction
-        z_c = boundary_z_c(y)
-        x_c = math.sqrt(z_c * z_c - y * y)
-        while np.hypot(x_c, y) < z_c:
-            x_c = math.nextafter(x_c, math.inf)
-        while np.hypot(x_in := math.nextafter(x_c, 0.0), y) >= z_c:
-            x_c = x_in
+        x_c = boundary_x_c(y)  # the smallest x the dispatcher sends outside
+        x_in = math.nextafter(x_c, 0.0)
     elif domain == "external":
         raise ValueError("y = 0 has no external domain")
     lo, hi = (1e-6, x_in) if domain == "internal" else (x_c, x_max)

@@ -8,13 +8,14 @@ dispatcher keeps this branch outside the computing boundary, this module
 itself never restricts its domain.
 
 The depth N is one integer for the whole call or one per point.  Points
-are ordered deepest first, so level k updates, in place, the prefix of
-points whose depth is at least k; every point sees exactly the levels
-and arithmetic of its own depth-N fraction.  A single depth is the case
-where that prefix is the whole array and no reordering is needed.
+are ordered deepest first (`dawson.deepest_first`), so level k
+updates, in place, the prefix of points whose depth is at least k; every
+point sees exactly the levels and arithmetic of its own depth-N fraction.
 """
 
 import numpy as np
+
+from .dawson import deepest_first
 
 _I_SQRT_PI = 1j / np.sqrt(np.pi)
 
@@ -33,33 +34,16 @@ def laplace_w(z, n_c):
     rejected (the leading denominator vanishes).
     """
     z = np.asarray(z, dtype=np.complex128)
-    depth = np.asarray(n_c)
-    if depth.shape not in ((), z.shape):
-        raise ValueError(f"n_c must be an int or one depth per point of z, got {depth.shape}")
-    if depth.min(initial=1) < 1:
-        raise ValueError(f"n_c must be a positive integer, got {n_c}")
+    order, top, joins = deepest_first(n_c, z.shape, "n_c")
     if (z == 0).any():
         raise ValueError("laplace_w is undefined at z = 0")
-    zs = z.ravel()
-    counts = np.bincount(depth.ravel(), minlength=1)  # counts[d]: points of depth d
-    top = counts.size - 1
-    if counts[top] == depth.size:
-        order = None
-        active = [zs.size] * (top + 1)
-    else:
-        # small-integer key: numpy's stable sort on it is a radix sort
-        key = depth.ravel().astype(np.min_scalar_type(top))
-        order = np.argsort(key, kind="stable")[::-1]
-        zs = zs[order]
-        # active[k]: points of depth >= k, the prefix that level k updates
-        active = np.cumsum(counts[::-1])[::-1].tolist()
+    zs = z.ravel() if order is None else z.ravel()[order]
     # t = z - (k/2)/t level by level, the quotient going to u
     t = zs.copy()
     u = np.empty_like(t) if t.size <= _OWN_QUOTIENT_MAX else t
-    m = None
     for k in range(top, 0, -1):
-        if active[k] != m:
-            m = active[k]
+        if k in joins:
+            m = joins[k]
             th, uh, zh = t[:m], u[:m], zs[:m]
         np.divide(0.5 * k, th, out=uh)
         np.subtract(zh, uh, out=th)

@@ -3,7 +3,12 @@
 The evaluation point is reduced to x >= 0 (K is even and L odd in x), the
 truncation parameters are selected from the calibrated per-y bands, and
 the point is dispatched by |z| against the computing boundary z_c(y): the
-Taylor series inside, the Laplace continued fraction outside.
+Taylor series inside, the Laplace continued fraction outside.  Dispatch
+compares x with x_c(y), the first x whose hypot(x, y) reaches z_c(y)
+(`boundary_x_c`), so the branch is the one |z| < z_c(y) picks while |z|
+is computed only for the external points, which need it for their depth.
+The series takes its Dawson depth per x (`dawson.dawson_depth`); the
+tabulated N_D serves the y = 0 axis alone.
 
 The external depth deserves a note.  The tabulated N_C values are tuned
 for the fixed |z| >= 22 split; close to z_c(y) the fraction needs more
@@ -23,7 +28,7 @@ import math
 
 import numpy as np
 
-from .dawson import dawson_cf
+from .dawson import dawson_cf, dawson_depth
 from .laplace import laplace_w
 from .taylor import SeriesParams, VoigtValue, Y_MAX, eval_w_internal
 
@@ -91,6 +96,22 @@ def boundary_z_c(y, level=1e-16):
     return c0 + u * (c1 + u * (c2 + u * c3))
 
 
+def boundary_x_c(y):
+    """First x >= 0 that the dispatcher sends to the Laplace fraction, for y > 0.
+
+    The least double x_c with hypot(x_c, y) >= z_c(y).  hypot is monotone
+    in x, so for x >= 0 the test x < x_c takes the same branch as
+    hypot(x, y) < z_c(y) without computing a hypot per point.
+    """
+    z_c = boundary_z_c(y)
+    x_c = math.sqrt(z_c * z_c - y * y)
+    while np.hypot(x_c, y) < z_c:
+        x_c = math.nextafter(x_c, math.inf)
+    while np.hypot(x_in := math.nextafter(x_c, 0.0), y) >= z_c:
+        x_c = x_in
+    return x_c
+
+
 def select_params(y, level=1e-16):
     """Truncation triple (N, N_D, N_C) for y from the calibrated band table."""
     bands = _PARAM_BANDS.get(level)
@@ -136,20 +157,35 @@ def eval_w_batch(xs, y):
     else:
         k = np.empty_like(ax)
         l = np.empty_like(ax)
-        r = np.hypot(ax, y)
-        internal = r < boundary_z_c(y)
+        internal = ax < boundary_x_c(y)
         if internal.any():
             ki, li = eval_w_internal(ax[internal], y, params)
             k[internal] = ki
             l[internal] = li
         external = ~internal
         if external.any():
-            w = laplace_w(ax[external] + 1j * y, external_depth(r[external]))
+            ae = ax[external]
+            # only external points need |z|, for their fraction depth
+            w = laplace_w(ae + 1j * y, external_depth(np.hypot(ae, y)))
             k[external] = w.real
             l[external] = w.imag
     # L is odd in x; negation is exact and keeps the sign of x = -0.0
     np.negative(l, out=l, where=np.signbit(xs))
     return VoigtValue(k, l)
+
+
+def point_branch(x, y):
+    """The branch eval_w(x, y) takes and the continued-fraction depth it uses.
+
+    Returns ("axis", N_D) at y = 0, ("internal", Dawson depth) inside the
+    computing boundary and ("external", Laplace depth) outside it.
+    """
+    ax = abs(float(x))
+    if y == 0.0:
+        return "axis", select_params(0.0).n_d
+    if ax < boundary_x_c(y):
+        return "internal", dawson_depth(ax)
+    return "external", external_depth(np.hypot(ax, y))
 
 
 def eval_w(x, y):

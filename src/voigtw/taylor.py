@@ -3,7 +3,8 @@
 For a fixed y the exact integer tables are folded with powers of y into
 six coefficient vectors (alpha, beta, gamma for L; their primed partners
 for K).  Each evaluation is then three even-polynomial Horner sums in x^2
-plus one Dawson continued fraction and one exp(-x^2):
+plus one Dawson continued fraction, at a depth chosen per x, and one
+exp(-x^2):
 
     L = (1/sqrt(pi)) F(x) * A(x^2) + x e^{-x^2} B(x^2) + (1/sqrt(pi)) x G(x^2)
     K = (1/sqrt(pi)) (F(x)/x) A'(x^2) + e^{-x^2} B'(x^2) + (1/sqrt(pi)) G'(x^2)
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coeffs import DEFAULT_M_MAX, get_tables
-from .dawson import dawson_cf
+from .dawson import dawson_cf, dawson_depth
 
 _ONE_OVER_SQRT_PI = 1.0 / np.sqrt(np.pi)
 
@@ -130,12 +131,14 @@ def eval_w_internal(x, y, params):
     """Internal-branch evaluation of (K, L) at x >= 0, 0 <= y <= 0.1.
 
     Reuses the cached coefficient fold for y; x^2, the Dawson fraction
-    and exp(-x^2) are computed once and shared between K and L.  F(x)/x
-    takes its limit 1 at x = 0, where the quotient itself is 0/0.
+    and exp(-x^2) are computed once and shared between K and L.  The
+    fraction takes each x's own depth from `dawson_depth`, so params.n_d
+    is not used here.  F(x)/x takes its limit 1 at x = 0, where the
+    quotient itself is 0/0.
     """
     c = cached_y_coefficients(float(y), params)
     x = np.asarray(x, dtype=np.float64)
-    f = dawson_cf(x, params.n_d)
+    f = dawson_cf(x, dawson_depth(x))
     x2 = x * x
     ex = np.exp(-x2)
     # K before L, and F(x)/x freed as soon as it is used: fewer large

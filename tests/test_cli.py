@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from voigtw.cli import bench_points, find_boundary, main
-from voigtw.scheme import boundary_z_c, eval_w
+from voigtw.dawson import dawson_depth
+from voigtw.scheme import boundary_x_c, boundary_z_c, eval_w, external_depth
 
 
 class TestEval:
@@ -26,6 +27,24 @@ class TestEval:
         assert main(["eval", "--x", "3.0", "--y", "0.0", "--check"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert float(out[2].split("=")[1]) == 0.0
+
+    @pytest.mark.parametrize(
+        "x, y, branch, line",
+        [
+            (1.0, 0.05, "internal", f"dawson_depth = {dawson_depth(1.0)}"),
+            (-5.0, 1e-8, "internal", f"dawson_depth = {dawson_depth(5.0)}"),
+            (30.0, 0.01, "external", f"laplace_depth = {external_depth(np.hypot(30.0, 0.01))}"),
+            # the first x outside, at the deepest Laplace step
+            (boundary_x_c(0.05), 0.05, "external", "laplace_depth = 21"),
+            (3.0, 0.0, "axis", "dawson_depth = 61"),
+        ],
+    )
+    @pytest.mark.parametrize("check", [[], ["--check"]])
+    def test_reports_branch_and_depth(self, x, y, branch, line, check, capsys):
+        assert main(["eval", f"--x={x!r}", "--y", repr(y), *check]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == [f"branch = {branch}", line]
+        assert len(out) == 4 + len(check) * 2
 
     @pytest.mark.parametrize("command", ["eval", "errmap"])
     def test_no_accuracy_flag(self, command, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dawson_maclaurin, rel_err, ulps
-from voigtw.dawson import dawson_cf
+from voigtw.dawson import _BIN_DEPTH, _BINS_PER_UNIT, dawson_cf, dawson_depth
 from voigtw.oracle import ref_dawson
 
 
@@ -90,3 +90,70 @@ def test_rejects_bad_depth(bad):
 def test_rejects_nonfinite(bad):
     with pytest.raises(ValueError):
         dawson_cf(bad, 61)
+
+
+def test_per_point_depth_matches_scalar_depth_bitwise():
+    rng = np.random.default_rng(7)
+    depths = rng.permutation(np.repeat(np.arange(1, 62), 40))
+    xs = rng.uniform(-25, 25, depths.size)
+    d = dawson_cf(xs, depths)
+    for x, n, got in zip(xs, depths, d):
+        assert got == dawson_cf(float(x), int(n)), (x, n)
+    # one point takes the allocating loop, more points the in-place one
+    for i in range(0, depths.size, 97):
+        assert dawson_cf(xs[i : i + 1], depths[i : i + 1])[0] == d[i]
+    assert np.array_equal(dawson_cf(xs[:200], depths[:200]), d[:200])
+    assert np.array_equal(dawson_cf(xs.reshape(40, -1), depths.reshape(40, -1)).ravel(), d)
+    assert np.array_equal(dawson_cf(xs, 61), [dawson_cf(float(x), 61) for x in xs])
+    assert dawson_cf(np.empty(0), np.empty(0, dtype=int)).shape == (0,)
+    assert dawson_cf(np.empty(0), 61).shape == (0,)
+
+
+def test_rejects_bad_per_point_depth():
+    xs = np.array([0.5, 1.0, 2.0])
+    for bad in ([6, 0, 6], [6, -3, 9]):
+        with pytest.raises(ValueError, match="positive"):
+            dawson_cf(xs, np.array(bad))
+    for shape in ((2,), (3, 1), (1, 3)):
+        with pytest.raises(ValueError, match="one depth per point"):
+            dawson_cf(xs, np.full(shape, 8))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            dawson_cf(np.array([1.0, bad, 2.0]), np.array([8, 9, 10]))
+
+
+def test_huge_x_per_point_depths():
+    xs = np.array([1e300, -4e152, 1.0, 1e153, 5.0, -np.finfo(float).max, 0.0, 22.0])
+    depths = np.array([1, 61, 17, 344, 54, 2, 9, 61])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = dawson_cf(xs, depths)
+        for x, n, got in zip(xs, depths, vec):
+            assert got == dawson_cf(float(x), int(n)), (x, n)
+
+
+def test_depth_profile_lookup():
+    edges = np.arange(1, _BIN_DEPTH.size) / _BINS_PER_UNIT
+    # every bin edge starts the next bin; below it the previous one holds
+    assert np.array_equal(dawson_depth(edges), _BIN_DEPTH[1:])
+    assert np.array_equal(dawson_depth(np.nextafter(edges, 0)), _BIN_DEPTH[:-1])
+    assert np.array_equal(dawson_depth(-edges), dawson_depth(edges))
+    assert type(dawson_depth(5.0)) is int and dawson_depth(0.0) == _BIN_DEPTH[0]
+    tail = [81.3, 1e6, 1e300, np.finfo(float).max, np.inf, np.nan]
+    assert np.all(dawson_depth(tail) == _BIN_DEPTH[-1])
+    assert dawson_depth(np.zeros((2, 3))).shape == (2, 3)
+    assert dawson_depth(np.empty(0)).shape == (0,)
+    # the internal branch uses fewer levels than the tabulated 61 everywhere
+    assert _BIN_DEPTH.max() < 61
+
+
+def test_depth_profile_within_3_ulp():
+    # every bin edge and its neighbours, then a grid out past x = 81, where
+    # z_c(y) extrapolates for the smallest subnormal y
+    edges = np.arange(1, _BIN_DEPTH.size + 1) / _BINS_PER_UNIT
+    xs = np.concatenate(
+        [edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), np.linspace(1e-3, 90, 700)]
+    )
+    vals = dawson_cf(xs, dawson_depth(xs))
+    worst = max(rel_err(v, ref_dawson(x)) for x, v in zip(xs, vals))
+    assert worst <= ulps(3)

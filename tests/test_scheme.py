@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
+from voigtw.dawson import dawson_depth
 from voigtw.laplace import laplace_w
 from voigtw.scheme import (
     _EXT_DEPTH_EDGES,
     _EXT_DEPTHS,
     _PARAM_BANDS,
+    boundary_x_c,
     boundary_z_c,
     eval_w,
     eval_w_batch,
     external_depth,
+    point_branch,
     select_params,
 )
 from voigtw.oracle import ref_w
@@ -80,6 +83,36 @@ class TestSelectParams:
     def test_rejects_level_without_table(self):
         with pytest.raises(ValueError):
             select_params(0.05, 1e-40)
+
+
+@pytest.mark.parametrize("y", [5e-324, 1e-300, 1e-100, 1e-8, 0.05, 0.1])
+def test_split_at_x_c_is_the_hypot_rule(y):
+    # dispatch tests x < x_c(y); around x_c it must send every point where
+    # hypot(x, y) < z_c(y) sends it, and evaluate it on that branch
+    z_c, x_c = boundary_z_c(y), boundary_x_c(y)
+    below, above = [x_c], [x_c]
+    for _ in range(3):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    xs = np.array(below[:0:-1] + above)
+    params = select_params(y)
+    k, l = eval_w_batch(xs, y)
+    for x, kb, lb in zip(xs, k, l):
+        inside = np.hypot(x, y) < z_c
+        assert inside == (x < x_c)
+        assert point_branch(x, y)[0] == ("internal" if inside else "external")
+        if inside:
+            want = eval_w_internal(float(x), y, params)
+        else:
+            w = laplace_w(complex(x, y), external_depth(np.hypot(x, y)))
+            want = (w.real, w.imag)
+        assert (kb, lb) == tuple(want), (x, y)
+
+
+def test_point_branch_reports_the_depth_used():
+    assert point_branch(-3.0, 0.0) == ("axis", 61)
+    assert point_branch(-1.0, 0.05) == ("internal", dawson_depth(1.0))
+    assert point_branch(30.0, 0.01) == ("external", external_depth(np.hypot(30.0, 0.01)))
 
 
 def test_external_depth_steps():
@@ -249,3 +282,24 @@ def test_input_contract_property(xs, y):
             km, lm = eval_w(-x, y)
             assert _bits(k) == _bits(kb[i]) and _bits(l) == _bits(lb[i]), (x, y)
             assert _bits(km) == _bits(k) and _bits(lm) == _bits(-l), (x, y)
+
+
+# Oracle bounds across the verified domain: y log-uniform in [1e-100, 0.1],
+# |x| <= 4000, weighted towards the line core where the series and the
+# per-x Dawson depth do the work.
+_X_VERIFIED = st.one_of(
+    st.floats(-25.0, 25.0),
+    st.tuples(st.floats(math.log(1e-6), math.log(4000.0)), st.booleans()).map(
+        lambda t: math.copysign(math.exp(t[0]), -1.0 if t[1] else 1.0)
+    ),
+)
+
+
+@given(_X_VERIFIED, st.floats(math.log(1e-100), math.log(0.1)).map(math.exp))
+@settings(max_examples=40, deadline=None)
+def test_oracle_bounds_property(x, y):
+    y = min(y, 0.1)
+    k, l = eval_w(x, y)
+    ref = ref_w(x, y)
+    assert rel_err(k, ref.real) <= 5e-13, (x, y)
+    assert rel_err(l, ref.imag) <= 2e-15, (x, y)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rel_err
-from voigtw.dawson import dawson_cf
-from voigtw.oracle import ref_erfcx, ref_w
+from conftest import rel_err, ulps
+from voigtw.dawson import dawson_cf, dawson_depth
+from voigtw.oracle import ref_dawson, ref_erfcx, ref_w
 from voigtw.scheme import eval_w_batch
 from voigtw.taylor import (
     SeriesParams,
@@ -80,9 +80,12 @@ class TestEvalL:
         assert eval_w_internal(0.0, 0.05, P16).l == 0.0
 
     def test_y0_is_scaled_dawson_exact(self):
+        # the series takes its Dawson depth per x from the profile, not N_D
         xs = np.linspace(0, 25, 301)
-        expect = (2.0 / np.sqrt(np.pi)) * dawson_cf(xs, P16.n_d)
+        d = dawson_cf(xs, dawson_depth(xs))
+        expect = (2.0 / np.sqrt(np.pi)) * d
         assert np.array_equal(eval_w_internal(xs, 0.0, P16).l, expect)
+        assert max(rel_err(v, ref_dawson(x)) for x, v in zip(xs[1:], d[1:])) <= ulps(3)
 
     def test_interior_point_vs_oracle(self):
         p = SeriesParams(6, 61, 6)  # the 0.039811 <= y < 0.063096 band
