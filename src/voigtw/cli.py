@@ -4,7 +4,8 @@ and the empirical boundary search.
 Subcommands:
 
 * ``eval``     -- evaluate K and L at one point, optionally with oracle deltas,
-                  and name the branch taken and its fraction depth
+                  and print the boundary z_c(y), x_c(y), the truncations
+                  (N, N_D, N_C), the branch taken and its fraction depth
 * ``errmap``   -- CSV of per-point relative errors vs the oracle over a grid,
                   with per-y max/mean aggregates
 * ``bench``    -- seeded throughput report for internal / external points
@@ -26,7 +27,14 @@ import numpy as np
 
 from .laplace import laplace_rel_error
 from .oracle import ref_w, rel_errors
-from .scheme import boundary_x_c, eval_w, eval_w_batch, point_branch, select_params
+from .scheme import (
+    boundary_x_c,
+    boundary_z_c,
+    eval_w,
+    eval_w_batch,
+    point_branch,
+    select_params,
+)
 from .taylor import Y_MAX
 
 _EXIT_DOMAIN = 2
@@ -71,6 +79,11 @@ def cmd_eval(args):
         d_re, d_im = _point_deltas(value.k, value.l, ref)
         print(f"delta_re = {d_re:.3e}")
         print(f"delta_im = {d_im:.3e}")
+    # y = 0 has no boundary: every x takes the series on the axis
+    z_c, x_c = (boundary_z_c(args.y), boundary_x_c(args.y)) if args.y > 0.0 else (math.inf,) * 2
+    print(f"z_c = {_fmt(z_c)}")
+    print(f"x_c = {_fmt(x_c)}")
+    print("N, N_D, N_C = {}, {}, {}".format(*select_params(args.y)))
     branch, depth = point_branch(args.x, args.y)
     print(f"branch = {branch}")
     print(f"{'laplace' if branch == 'external' else 'dawson'}_depth = {depth}")

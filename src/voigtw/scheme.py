@@ -7,15 +7,19 @@ Taylor series inside, the Laplace continued fraction outside.  Dispatch
 compares x with x_c(y), the first x whose hypot(x, y) reaches z_c(y)
 (`boundary_x_c`), so the branch is the one |z| < z_c(y) picks while |z|
 is computed only for the external points, which need it for their depth.
-The series takes its Dawson depth per x (`dawson.dawson_depth`); the
-tabulated N_D serves the y = 0 axis alone.
+A call whose points all take one branch, as every scalar call does,
+passes its array to that branch whole; only a mixed call gathers each
+branch's points and scatters the results back.  The series takes its
+Dawson depth per x (`dawson.dawson_depth`); the tabulated N_D serves
+the y = 0 axis alone.
 
 The external depth deserves a note.  The tabulated N_C values are tuned
 for the fixed |z| >= 22 split; close to z_c(y) the fraction needs more
 levels (about 19 at |z| ~ 6.65, falling to 6 by |z| ~ 20).  That profile
 was calibrated against the high-accuracy oracle on a dense radius grid
-and is applied per point as a step function of |z|.  Its last step is
-the tabulated N_C = 6, so no floor is needed.  The whole external branch
+and is applied per point as a step function of |z|, looked up in
+half-unit bins (`dawson.step_depth`).  Its last step is the tabulated
+N_C = 6, so no floor is needed.  The whole external branch
 is one Laplace fraction call with one depth per point, so batch and
 scalar evaluation agree bit for bit.
 
@@ -28,11 +32,11 @@ import math
 
 import numpy as np
 
-from .dawson import dawson_cf, dawson_depth
+from .dawson import dawson_cf, dawson_depth, step_depth, step_table
 from .laplace import laplace_w
 from .taylor import SeriesParams, VoigtValue, Y_MAX, eval_w_internal
 
-_TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 # z_c(y) = c0 + c1 u + c2 u^2 + c3 u^3 with u = ln y, per accuracy level
 _BOUNDARY_CUBICS = {
@@ -78,11 +82,15 @@ _PARAM_BANDS = {
 }
 
 # Oracle-calibrated continued-fraction depth needed to reach the double
-# precision floor, as a step function of |z| (upper radius, depth).
+# precision floor, as a step function of |z|: depth i below edge i and
+# from edge i - 1 on.  The edges lie on a half-unit grid, so the profile
+# is looked up in bins of width 1/2.
 _EXT_DEPTH_EDGES = np.array(
     [7.0, 7.5, 8.0, 8.5, 9.0, 9.5, 10.0, 11.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0]
 )
 _EXT_DEPTHS = np.array([21, 19, 17, 16, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6])
+_EXT_BINS_PER_UNIT = 2
+_EXT_BIN_DEPTH = step_table(_EXT_DEPTH_EDGES, _EXT_DEPTHS, _EXT_BINS_PER_UNIT)
 
 
 def boundary_z_c(y, level=1e-16):
@@ -129,11 +137,8 @@ def select_params(y, level=1e-16):
 
 
 def external_depth(r):
-    """Per-point Laplace depth reaching the double-precision floor at radius r."""
-    r = np.asarray(r, dtype=np.float64)
-    idx = np.searchsorted(_EXT_DEPTH_EDGES, r, side="right")
-    out = _EXT_DEPTHS[idx]
-    return out if out.ndim else int(out)
+    """Per-point Laplace depth reaching the double-precision floor at radius r >= 0."""
+    return step_depth(_EXT_BIN_DEPTH, _EXT_BINS_PER_UNIT, np.asarray(r, dtype=np.float64))
 
 
 def eval_w_batch(xs, y):
@@ -141,13 +146,14 @@ def eval_w_batch(xs, y):
 
     Identical, bit for bit, to mapping eval_w over xs: the per-y
     coefficient fold is shared and every per-point decision (dispatch,
-    fraction depth) depends only on that point.
+    fraction depth) depends only on that point.  K and L are C-contiguous
+    float64 arrays of xs' shape, 0-d for a scalar xs.
     """
     xs = np.asarray(xs, dtype=np.float64)
     params = select_params(y)  # also rejects y outside [0, Y_MAX]
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
-    ax = np.abs(xs)
+    ax = np.abs(xs).reshape(-1)
 
     if y == 0.0:
         # Analytic collapse of the series: exact at y = 0 for every x.
@@ -155,23 +161,30 @@ def eval_w_batch(xs, y):
         k = np.exp(-np.square(np.minimum(ax, 30.0)))
         l = _TWO_OVER_SQRT_PI * dawson_cf(ax, params.n_d)
     else:
-        k = np.empty_like(ax)
-        l = np.empty_like(ax)
         internal = ax < boundary_x_c(y)
-        if internal.any():
-            ki, li = eval_w_internal(ax[internal], y, params)
-            k[internal] = ki
-            l[internal] = li
-        external = ~internal
-        if external.any():
-            ae = ax[external]
-            # only external points need |z|, for their fraction depth
-            w = laplace_w(ae + 1j * y, external_depth(np.hypot(ae, y)))
+        n_internal = np.count_nonzero(internal)
+        # a call on one branch, as every scalar call is, takes no gather or scatter
+        if n_internal == ax.size:
+            k, l = eval_w_internal(ax, y, params)
+        elif n_internal == 0:
+            w = _external(ax, y)
+            k, l = w.real.copy(), w.imag.copy()
+        else:
+            k = np.empty_like(ax)
+            l = np.empty_like(ax)
+            k[internal], l[internal] = eval_w_internal(ax[internal], y, params)
+            external = ~internal
+            w = _external(ax[external], y)
             k[external] = w.real
             l[external] = w.imag
     # L is odd in x; negation is exact and keeps the sign of x = -0.0
-    np.negative(l, out=l, where=np.signbit(xs))
-    return VoigtValue(k, l)
+    np.negative(l, out=l, where=np.signbit(xs).reshape(-1))
+    return VoigtValue(k.reshape(xs.shape), l.reshape(xs.shape))
+
+
+def _external(ax, y):
+    """The Laplace fraction at x = ax >= 0, each point at the depth its |z| needs."""
+    return laplace_w(ax + 1j * y, external_depth(np.hypot(ax, y)))
 
 
 def point_branch(x, y):

@@ -11,11 +11,16 @@ exp(-x^2):
 
 where F(x)/x takes its limit 1 at x = 0, so the same sum gives K(0, y) =
 e^{y^2} erfc y.  Both are assembled by one function, `eval_w_internal`,
-which shares x^2, F(x) and exp(-x^2) between them.  The fold is O(N^2)
+which shares x^2, F(x) and exp(-x^2) between them.  One point runs the
+same expressions on Python floats, bit for bit the arrays' results at a
+fraction of the cost of one-element ufunc calls; only exp(-x^2) stays
+`np.exp`, as `math.exp` rounds differently from numpy's vectorised exp
+on about 4% of arguments in [-745, 0] (an AVX-512 build).  The fold is O(N^2)
 but x-independent, so it is shared by batch evaluation and kept in a
 bounded LRU cache keyed by (y, params), holding the 128 most recent sets.
 """
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -24,7 +29,7 @@ import numpy as np
 from .coeffs import DEFAULT_M_MAX, get_tables
 from .dawson import dawson_cf, dawson_depth
 
-_ONE_OVER_SQRT_PI = 1.0 / np.sqrt(np.pi)
+_ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 Y_MAX = 0.1
 
@@ -118,13 +123,20 @@ def cached_y_coefficients(y, params):
 
 
 def _horner(coeffs, x2):
-    """Evaluate sum_k coeffs[k] * x2^k; empty coefficient list is zero."""
+    """Evaluate sum_k coeffs[k] * x2^k at a float or an array x2; no coefficients give 0."""
     if not coeffs:
-        return np.zeros_like(x2)
-    acc = np.full_like(x2, coeffs[-1])
+        return 0.0
+    acc = coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = acc * x2 + c
     return acc
+
+
+def _f_over_x(f, x):
+    """F(x)/x, taking its limit 1 at x = 0, where the quotient itself is 0/0."""
+    if isinstance(x, float):
+        return f / x if x else 1.0
+    return np.divide(f, x, out=np.ones_like(x), where=x != 0.0)
 
 
 def eval_w_internal(x, y, params):
@@ -133,20 +145,21 @@ def eval_w_internal(x, y, params):
     Reuses the cached coefficient fold for y; x^2, the Dawson fraction
     and exp(-x^2) are computed once and shared between K and L.  The
     fraction takes each x's own depth from `dawson_depth`, so params.n_d
-    is not used here.  F(x)/x takes its limit 1 at x = 0, where the
-    quotient itself is 0/0.
+    is not used here.  Returns floats for a scalar x, else arrays of x's
+    shape; a single point is evaluated in float arithmetic.
     """
     c = cached_y_coefficients(float(y), params)
     x = np.asarray(x, dtype=np.float64)
+    shape = x.shape
+    if x.size == 1:
+        x = float(x.reshape(()))
     f = dawson_cf(x, dawson_depth(x))
     x2 = x * x
     ex = np.exp(-x2)
     # K before L, and F(x)/x freed as soon as it is used: fewer large
     # temporaries live at once, so big batches fault fewer heap pages
     k = (
-        _ONE_OVER_SQRT_PI
-        * np.divide(f, x, out=np.ones_like(x), where=x != 0.0)
-        * _horner(c.alpha_p, x2)
+        _ONE_OVER_SQRT_PI * _f_over_x(f, x) * _horner(c.alpha_p, x2)
         + ex * _horner(c.beta_p, x2)
         + _ONE_OVER_SQRT_PI * _horner(c.gamma_p, x2)
     )
@@ -155,6 +168,8 @@ def eval_w_internal(x, y, params):
         + x * ex * _horner(c.beta, x2)
         + _ONE_OVER_SQRT_PI * x * _horner(c.gamma, x2)
     )
-    if k.ndim == 0:
+    if not shape:
         return VoigtValue(float(k), float(l))
+    if isinstance(x, float):
+        return VoigtValue(np.full(shape, k), np.full(shape, l))
     return VoigtValue(k, l)

@@ -4,7 +4,13 @@ import pytest
 
 from voigtw.cli import bench_points, find_boundary, main
 from voigtw.dawson import dawson_depth
-from voigtw.scheme import boundary_x_c, boundary_z_c, eval_w, external_depth
+from voigtw.scheme import (
+    boundary_x_c,
+    boundary_z_c,
+    eval_w,
+    external_depth,
+    select_params,
+)
 
 
 class TestEval:
@@ -44,7 +50,16 @@ class TestEval:
         assert main(["eval", f"--x={x!r}", "--y", repr(y), *check]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[-2:] == [f"branch = {branch}", line]
-        assert len(out) == 4 + len(check) * 2
+        assert len(out) == 7 + len(check) * 2
+
+    @pytest.mark.parametrize("y", [1e-300, 1e-8, 0.05, 0.1, 0.0])
+    def test_reports_boundary_and_truncations(self, y, capsys):
+        assert main(["eval", "--x", "1.0", "--y", repr(y)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        z_c, x_c = (boundary_z_c(y), boundary_x_c(y)) if y > 0.0 else (float("inf"),) * 2
+        n = select_params(y)
+        # repr round-trips, so the printed x_c is the first x sent outside
+        assert out[2:5] == [f"z_c = {z_c!r}", f"x_c = {x_c!r}", f"N, N_D, N_C = {n.n}, {n.n_d}, {n.n_c}"]
 
     @pytest.mark.parametrize("command", ["eval", "errmap"])
     def test_no_accuracy_flag(self, command, capsys):

@@ -107,6 +107,15 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
     assert np.array_equal(dawson_cf(xs, 61), [dawson_cf(float(x), 61) for x in xs])
     assert dawson_cf(np.empty(0), np.empty(0, dtype=int)).shape == (0,)
     assert dawson_cf(np.empty(0), 61).shape == (0,)
+    # every profile bin edge and its neighbours at the profile's depth, and
+    # x past x_big, where the fraction gives way to 1/(2x)
+    edges = np.arange(1, _BIN_DEPTH.size + 1) / _BINS_PER_UNIT
+    xs = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    xs = np.concatenate([xs, -xs, [3e153, -8.1e152, 1e200, np.finfo(float).max]])
+    depths = np.concatenate([dawson_depth(xs[:-4]), [8, 61, 1, 344]])
+    d = dawson_cf(xs, depths)
+    for x, n, got in zip(xs, depths, d):
+        assert got == dawson_cf(float(x), int(n)), (x, n)
 
 
 def test_rejects_bad_per_point_depth():

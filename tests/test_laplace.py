@@ -55,6 +55,11 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
     zs = rng.uniform(-300, 300, depths.size) + 1j * np.exp(
         rng.uniform(np.log(1e-30), np.log(0.1), depths.size)
     )
+    # far out and close to the real axis: |z| up to 1e300, Im z down to 5e-324
+    far = rng.choice([-1.0, 1.0], 400) * np.exp(rng.uniform(np.log(300), np.log(1e300), 400))
+    tiny = np.exp(rng.uniform(np.log(5e-324), np.log(0.1), 400))
+    zs = np.r_[zs, far + 1j * tiny, [1e300 + 5e-324j, -7.0 + 5e-324j]]
+    depths = np.r_[depths, rng.integers(1, 66, 400), 65, 21]
     w = laplace_w(zs, depths)
     for z, d, got in zip(zs, depths, w):
         assert got == laplace_w(complex(z), int(d)), (z, d)

@@ -118,6 +118,12 @@ def test_point_branch_reports_the_depth_used():
 def test_external_depth_steps():
     assert external_depth(6.7) == 21
     assert external_depth(25.0) == 6
+    # the uniform-bin lookup takes the step searchsorted takes on the edges,
+    # at every edge and its neighbours and beyond the last one
+    e = _EXT_DEPTH_EDGES
+    r = np.concatenate([e, np.nextafter(e, 0), np.nextafter(e, np.inf), [0.0, 6.6, 40.0, 1e300, np.inf]])
+    assert np.array_equal(external_depth(r), _EXT_DEPTHS[np.searchsorted(e, r, side="right")])
+    assert [external_depth(float(v)) for v in r] == external_depth(r).tolist()
     assert np.all(np.diff(external_depth(np.linspace(6.7, 40, 50))) <= 0)
     # the profile never falls below the tabulated N_C, so it needs no floor
     assert all(n_c <= _EXT_DEPTHS.min() for *_, n_c in _PARAM_BANDS[1e-16])
@@ -205,6 +211,29 @@ class TestBatch:
             for i, x in enumerate(xs):
                 ks, ls = eval_w(float(x), y)
                 assert ks == kb[i] and ls == lb[i], (x, y)
+        # x_c(y) and its neighbours in a mixed batch, then one batch all
+        # inside and one all outside, which skip the gather and scatter
+        for y in (5e-324, 1e-30, 1e-8, 0.05, 0.1):
+            x_c = boundary_x_c(y)
+            near = np.array([x_c, np.nextafter(x_c, 0), np.nextafter(x_c, np.inf)])
+            inside = np.r_[np.linspace(0.0, near[1], 40), 5e-324, near[1]]
+            outside = np.r_[near[0], near[2], 30.0, 4000.0, 1e300, np.finfo(float).max]
+            for xs in (np.r_[near, -near, 1.0, 30.0], np.r_[inside, -inside], np.r_[outside, -outside]):
+                kb, lb = eval_w_batch(xs, y)
+                for i, x in enumerate(xs):
+                    ks, ls = eval_w(float(x), y)
+                    assert ks == kb[i] and ls == lb[i], (x, y)
+
+    @pytest.mark.parametrize("y, x", [(0.0, 2.0), (0.05, 2.0), (0.05, 30.0), (1e-8, 0.0)])
+    def test_outputs_are_contiguous_arrays_of_xs_shape(self, y, x):
+        # on the axis, internal and external branches; a 0-d x gives 0-d arrays
+        for xs in (x, -x, np.full((2, 3), x), np.full(4, -x)[::2], np.full((3, 2), x).T):
+            k, l = eval_w_batch(xs, y)
+            ks, ls = eval_w(-x if np.signbit(np.ravel(xs)[0]) else x, y)
+            for a, want in ((k, ks), (l, ls)):
+                assert type(a) is np.ndarray and a.dtype == np.float64
+                assert a.shape == np.shape(xs) and a.flags.c_contiguous
+                assert np.all(a.view(np.uint64) == np.float64(want).view(np.uint64))
 
     def test_empty(self):
         k, l = eval_w_batch([], 0.05)
