@@ -14,10 +14,6 @@ Every partial denominator depends on x only through x^2, hence the
 result is exactly odd in x.  Where 4N x^2 would overflow, D(x) is 1/(2x)
 to double precision (the next term is 1/(4x^3)) and used directly.
 
-One point is evaluated in Python float arithmetic instead: IEEE + - * /
-round the same in both, so the result is bit for bit the array's, at
-under a tenth of the cost of one-element ufunc calls.
-
 `dawson_depth` gives the depth each x needs: a step profile in |x|,
 calibrated against the multiprecision oracle, that keeps the fraction
 within 3 ulp of D(x) while using about 63% of the 61 levels the
@@ -84,7 +80,7 @@ def deepest_first(n, shape, name):
     lo, top = (int(depth.min()), int(depth.max())) if depth.size else (1, 1)
     if lo < 1:
         raise ValueError(f"{name} must be a positive integer, got {n}")
-    if lo == top:  # one depth, as every scalar call has: no bincount or sort
+    if lo == top:  # one depth: no bincount or sort
         return None, top, {top: math.prod(shape)}
     counts = np.bincount(depth.ravel()).tolist()  # counts[d]: points of depth d
     # a small unsigned key, complemented so that ascending is deepest
@@ -133,14 +129,6 @@ def dawson_cf(x, n_d):
 def _fraction(x, order, top, joins):
     """The fraction at finite x, planned by deepest_first; an array of x's shape."""
     xs = x.ravel() if order is None else x.ravel()[order]
-    if xs.size == 1:  # one point: Python floats, the arrays' operations in order
-        x1 = float(xs[0])
-        x2 = x1 * x1
-        tx2 = 2.0 * x2
-        t = (2 * top + 1) + tx2
-        for k in range(top, 0, -1):  # t >= 0.6 (1 + 2x^2) > 0 at every level
-            t = (2 * k - 1) + tx2 - (4 * k) * x2 / t
-        return np.full(x.shape, x1 / t)
     # in place in one work buffer, s holding each level's partial terms
     x2, tx2, t, s = np.empty((4, xs.size))
     np.multiply(xs, xs, x2)

@@ -11,11 +11,6 @@ The depth N is one integer for the whole call or one per point.  Points
 are ordered deepest first (`dawson.deepest_first`), so level k
 updates, in place, the prefix of points whose depth is at least k; every
 point sees exactly the levels and arithmetic of its own depth-N fraction.
-
-One point runs on numpy complex128 scalars instead of one-element arrays,
-at a fraction of the cost.  Their division rounds as the ufunc's does;
-Python's `complex` division takes another route and differs from it in
-the last bit on about two of five random quotients.
 """
 
 import numpy as np
@@ -43,12 +38,6 @@ def laplace_w(z, n_c):
     if (z == 0).any():
         raise ValueError("laplace_w is undefined at z = 0")
     zs = z.ravel() if order is None else z.ravel()[order]
-    if zs.size == 1:  # one point: numpy scalars, the arrays' operations in order
-        z1 = t = zs[0]
-        for k in range(top, 0, -1):
-            t = z1 - (0.5 * k) / t
-        w = _I_SQRT_PI / t
-        return np.full(z.shape, w) if z.ndim else complex(w)
     # t = z - (k/2)/t level by level, the quotient going to u
     t = zs.copy()
     u = np.empty_like(t) if t.size <= _OWN_QUOTIENT_MAX else t

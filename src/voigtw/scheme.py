@@ -7,11 +7,21 @@ Taylor series inside, the Laplace continued fraction outside.  Dispatch
 compares x with x_c(y), the first x whose hypot(x, y) reaches z_c(y)
 (`boundary_x_c`), so the branch is the one |z| < z_c(y) picks while |z|
 is computed only for the external points, which need it for their depth.
-A call whose points all take one branch, as every scalar call does,
-passes its array to that branch whole; only a mixed call gathers each
-branch's points and scatters the results back.  The series takes its
-Dawson depth per x (`dawson.dawson_depth`); the tabulated N_D serves
-the y = 0 axis alone.
+A batch whose points all take one branch passes its array to that branch
+whole; only a mixed batch gathers each branch's points and scatters the
+results back.  The series takes its Dawson depth per x
+(`dawson.dawson_depth`); the tabulated N_D serves the y = 0 axis alone.
+
+`eval_w` evaluates one point in scalar arithmetic, bit for bit what
+`eval_w_batch` gives for it.  Its per-y state (parameters, fold, x_c) is
+one record of a 128-entry LRU cache keyed by y, which `point_branch`
+reads too.  The Dawson fraction and the Horner sums run on Python
+floats, as IEEE + - * / round alike on floats and arrays.  The rest
+stays numpy's, where Python rounds differently from the ufuncs:
+`np.exp` (`math.exp` differs on about 4% of arguments in [-745, 0], an
+AVX-512 build), `np.hypot` (`math.hypot` on about 0.6% of random pairs
+of like size) and complex128 scalars for the Laplace fraction (Python's
+`complex` division on about two of five random quotients).
 
 The external depth deserves a note.  The tabulated N_C values are tuned
 for the fixed |z| >= 22 split; close to z_c(y) the fraction needs more
@@ -29,12 +39,20 @@ and `select_params` still look them up by level.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .dawson import dawson_cf, dawson_depth, step_depth, step_table
-from .laplace import laplace_w
-from .taylor import SeriesParams, VoigtValue, Y_MAX, eval_w_internal
+from .dawson import _BIN_DEPTH, _BINS_PER_UNIT, dawson_cf, step_depth, step_table
+from .laplace import _I_SQRT_PI, laplace_w
+from .taylor import (
+    SeriesParams,
+    VoigtValue,
+    Y_MAX,
+    cached_y_coefficients,
+    eval_w_internal,
+    series_w,
+)
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -111,6 +129,7 @@ def boundary_x_c(y):
     in x, so for x >= 0 the test x < x_c takes the same branch as
     hypot(x, y) < z_c(y) without computing a hypot per point.
     """
+    y = float(y)  # a float32 y would step x_c by float64 ulps that its hypot never sees
     z_c = boundary_z_c(y)
     x_c = math.sqrt(z_c * z_c - y * y)
     while np.hypot(x_c, y) < z_c:
@@ -150,6 +169,7 @@ def eval_w_batch(xs, y):
     float64 arrays of xs' shape, 0-d for a scalar xs.
     """
     xs = np.asarray(xs, dtype=np.float64)
+    y = float(y)
     params = select_params(y)  # also rejects y outside [0, Y_MAX]
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
@@ -163,7 +183,7 @@ def eval_w_batch(xs, y):
     else:
         internal = ax < boundary_x_c(y)
         n_internal = np.count_nonzero(internal)
-        # a call on one branch, as every scalar call is, takes no gather or scatter
+        # a call on one branch takes no gather or scatter
         if n_internal == ax.size:
             k, l = eval_w_internal(ax, y, params)
         elif n_internal == 0:
@@ -187,21 +207,86 @@ def _external(ax, y):
     return laplace_w(ax + 1j * y, external_depth(np.hypot(ax, y)))
 
 
+# the step profiles as lists, for one point's depth without a numpy call
+_DAWSON_DEPTH_LIST = _BIN_DEPTH.tolist()
+_EXT_DEPTH_LIST = _EXT_BIN_DEPTH.tolist()
+
+
+def _step(table, bins_per_unit, v):
+    """`step_depth` at one float v >= 0, on its table as a list."""
+    return table[int(min(v, (len(table) - 1) / bins_per_unit) * bins_per_unit)]
+
+
+@lru_cache(maxsize=128)
+def _y_record(y):
+    """(params, fold, x_c) at one float y, shared by every scalar call at that y."""
+    params = select_params(y)  # also rejects y outside [0, Y_MAX]
+    if y == 0.0:
+        return params, None, math.inf
+    return params, cached_y_coefficients(y, params), boundary_x_c(y)
+
+
+def _point_plan(x, y):
+    """Check one point as eval_w does; (branch, depth, x, y, fold) as floats and ints."""
+    y = float(y)
+    params, fold, x_c = _y_record(y)
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    ax = abs(x)
+    if y == 0.0:
+        return "axis", params.n_d, x, y, fold
+    if ax < x_c:
+        return "internal", _step(_DAWSON_DEPTH_LIST, _BINS_PER_UNIT, ax), x, y, fold
+    return "external", _step(_EXT_DEPTH_LIST, _EXT_BINS_PER_UNIT, np.hypot(ax, y)), x, y, fold
+
+
+def _dawson_point(x, n):
+    """dawson_cf(x, n) at one finite float x, in float arithmetic."""
+    if abs(x) >= 6.3e153 / math.sqrt(n):  # 4 n x^2 would overflow
+        return 0.5 / x
+    x2 = x * x
+    tx2 = 2.0 * x2
+    t = (2 * n + 1) + tx2
+    for k in range(n, 0, -1):  # t >= 0.6 (1 + 2x^2) > 0 at every level
+        t = (2 * k - 1) + tx2 - (4 * k) * x2 / t
+    return x / t
+
+
+def _laplace_point(z, n):
+    """laplace_w(z, n) at one complex z != 0, on numpy complex128 scalars."""
+    z = t = np.complex128(z)
+    for k in range(n, 0, -1):
+        t = z - (0.5 * k) / t
+    return _I_SQRT_PI / t
+
+
 def point_branch(x, y):
     """The branch eval_w(x, y) takes and the continued-fraction depth it uses.
 
     Returns ("axis", N_D) at y = 0, ("internal", Dawson depth) inside the
-    computing boundary and ("external", Laplace depth) outside it.
+    computing boundary and ("external", Laplace depth) outside it.  Rejects
+    what eval_w rejects, with the same errors.
     """
-    ax = abs(float(x))
-    if y == 0.0:
-        return "axis", select_params(0.0).n_d
-    if ax < boundary_x_c(y):
-        return "internal", dawson_depth(ax)
-    return "external", external_depth(np.hypot(ax, y))
+    return _point_plan(x, y)[:2]
 
 
 def eval_w(x, y):
-    """Evaluate w(x + iy) at a single point; returns VoigtValue(k, l)."""
-    k, l = eval_w_batch(np.asarray([x], dtype=np.float64), y)
-    return VoigtValue(float(k[0]), float(l[0]))
+    """Evaluate w(x + iy) at a single point; returns VoigtValue(k, l) of floats.
+
+    Bit for bit eval_w_batch's result, computed in scalar arithmetic.
+    """
+    branch, depth, x, y, fold = _point_plan(x, y)
+    ax = abs(x)
+    if branch == "axis":
+        k = np.exp(-np.square(min(ax, 30.0)))
+        l = _TWO_OVER_SQRT_PI * _dawson_point(ax, depth)
+    elif branch == "internal":
+        f = _dawson_point(ax, depth)
+        k, l = series_w(fold, ax, f, f / ax if ax else 1.0)
+    else:
+        w = _laplace_point(complex(ax, y), depth)
+        k, l = w.real, w.imag
+    if math.copysign(1.0, x) < 0.0:  # L is odd in x
+        l = -l
+    return VoigtValue(float(k), float(l))

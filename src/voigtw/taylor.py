@@ -10,12 +10,10 @@ exp(-x^2):
     K = (1/sqrt(pi)) (F(x)/x) A'(x^2) + e^{-x^2} B'(x^2) + (1/sqrt(pi)) G'(x^2)
 
 where F(x)/x takes its limit 1 at x = 0, so the same sum gives K(0, y) =
-e^{y^2} erfc y.  Both are assembled by one function, `eval_w_internal`,
-which shares x^2, F(x) and exp(-x^2) between them.  One point runs the
-same expressions on Python floats, bit for bit the arrays' results at a
-fraction of the cost of one-element ufunc calls; only exp(-x^2) stays
-`np.exp`, as `math.exp` rounds differently from numpy's vectorised exp
-on about 4% of arguments in [-745, 0] (an AVX-512 build).  The fold is O(N^2)
+e^{y^2} erfc y.  Both are assembled by one function, `series_w`, which
+shares x^2, F(x) and exp(-x^2) between them and takes floats as well as
+arrays, so the scalar evaluator (`scheme.eval_w`) runs the very
+expressions `eval_w_internal` runs on arrays.  The fold is O(N^2)
 but x-independent, so it is shared by batch evaluation and kept in a
 bounded LRU cache keyed by (y, params), holding the 128 most recent sets.
 """
@@ -132,44 +130,43 @@ def _horner(coeffs, x2):
     return acc
 
 
-def _f_over_x(f, x):
-    """F(x)/x, taking its limit 1 at x = 0, where the quotient itself is 0/0."""
-    if isinstance(x, float):
-        return f / x if x else 1.0
-    return np.divide(f, x, out=np.ones_like(x), where=x != 0.0)
+def series_w(c, x, f, f_over_x):
+    """K and L of the series from the fold c at x >= 0, given F(x) and F(x)/x.
 
-
-def eval_w_internal(x, y, params):
-    """Internal-branch evaluation of (K, L) at x >= 0, 0 <= y <= 0.1.
-
-    Reuses the cached coefficient fold for y; x^2, the Dawson fraction
-    and exp(-x^2) are computed once and shared between K and L.  The
-    fraction takes each x's own depth from `dawson_depth`, so params.n_d
-    is not used here.  Returns floats for a scalar x, else arrays of x's
-    shape; a single point is evaluated in float arithmetic.
+    x, F(x) and F(x)/x are floats, or arrays of one shape; x^2 and
+    exp(-x^2) are shared between K and L.  Returns (K, L).
     """
-    c = cached_y_coefficients(float(y), params)
-    x = np.asarray(x, dtype=np.float64)
-    shape = x.shape
-    if x.size == 1:
-        x = float(x.reshape(()))
-    f = dawson_cf(x, dawson_depth(x))
     x2 = x * x
     ex = np.exp(-x2)
-    # K before L, and F(x)/x freed as soon as it is used: fewer large
-    # temporaries live at once, so big batches fault fewer heap pages
+    # rebinding drops the last reference to a caller's temporary F(x)/x,
+    # and K is formed before L: fewer large temporaries live at once, so
+    # big batches fault fewer heap pages (one 16384-point array less at
+    # the peak)
+    f_over_x = _ONE_OVER_SQRT_PI * f_over_x
     k = (
-        _ONE_OVER_SQRT_PI * _f_over_x(f, x) * _horner(c.alpha_p, x2)
+        f_over_x * _horner(c.alpha_p, x2)
         + ex * _horner(c.beta_p, x2)
         + _ONE_OVER_SQRT_PI * _horner(c.gamma_p, x2)
     )
+    del f_over_x
     l = (
         _ONE_OVER_SQRT_PI * f * _horner(c.alpha, x2)
         + x * ex * _horner(c.beta, x2)
         + _ONE_OVER_SQRT_PI * x * _horner(c.gamma, x2)
     )
-    if not shape:
-        return VoigtValue(float(k), float(l))
-    if isinstance(x, float):
-        return VoigtValue(np.full(shape, k), np.full(shape, l))
-    return VoigtValue(k, l)
+    return k, l
+
+
+def eval_w_internal(x, y, params):
+    """Internal-branch evaluation of (K, L) at x >= 0, 0 <= y <= 0.1.
+
+    Reuses the cached coefficient fold for y; the Dawson fraction takes
+    each x's own depth from `dawson_depth`, so params.n_d is not used
+    here.  Returns floats for a scalar x, else arrays of x's shape.
+    """
+    c = cached_y_coefficients(float(y), params)
+    x = np.asarray(x, dtype=np.float64)
+    f = dawson_cf(x, dawson_depth(x))
+    # F(x)/x takes its limit 1 at x = 0, where the quotient itself is 0/0
+    k, l = series_w(c, x, f, np.divide(f, x, out=np.ones_like(x), where=x != 0.0))
+    return VoigtValue(k, l) if x.ndim else VoigtValue(float(k), float(l))

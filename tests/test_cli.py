@@ -73,6 +73,13 @@ class TestEval:
         assert main(["eval", "--x", "1.0", "--y", y]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("y", ["0.0", "1e-3"])
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    def test_nonfinite_x_exits_2_without_a_branch(self, x, y, capsys):
+        assert main(["eval", f"--x={x}", "--y", y]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: x must be finite\n"
+
 
 def run_errmap(tmp_path, name, extra=()):
     out = tmp_path / name

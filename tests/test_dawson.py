@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import dawson_maclaurin, rel_err, ulps
 from voigtw.dawson import _BIN_DEPTH, _BINS_PER_UNIT, dawson_cf, dawson_depth
 from voigtw.oracle import ref_dawson
+from voigtw.scheme import _dawson_point
 
 
 def test_zero():
@@ -62,7 +63,8 @@ def test_monotone_refinement():
 def test_vectorized_matches_scalar():
     xs = np.array([0.3, 1.7, 9.2])
     vec = dawson_cf(xs, 61)
-    assert all(vec[i] == dawson_cf(float(xs[i]), 61) for i in range(3))
+    for i, x in enumerate(xs.tolist()):
+        assert vec[i] == dawson_cf(x, 61) == _dawson_point(x, 61)
 
 
 @pytest.mark.parametrize("n_d", [1, 61, 344])
@@ -75,7 +77,7 @@ def test_huge_x_finite_and_asymptotic(n_d):
         vec = dawson_cf(np.r_[xs, 0.0, 1.0], n_d)
         for i, x in enumerate(xs):
             d = dawson_cf(float(x), n_d)
-            assert d == vec[i]
+            assert d == vec[i] == _dawson_point(float(x), n_d)
             assert rel_err(d, 0.5 / x) <= ulps(1)
     assert vec[-2] == 0.0 and vec[-1] == dawson_cf(1.0, n_d)
 
@@ -93,29 +95,38 @@ def test_rejects_nonfinite(bad):
 
 
 def test_per_point_depth_matches_scalar_depth_bitwise():
+    # the array kernel against the scalar evaluator's float loop, at every
+    # depth up to the 1e-100 tables' 344
     rng = np.random.default_rng(7)
-    depths = rng.permutation(np.repeat(np.arange(1, 62), 40))
+    depths = rng.permutation(np.repeat(np.arange(1, 345), 8))
     xs = rng.uniform(-25, 25, depths.size)
     d = dawson_cf(xs, depths)
     for x, n, got in zip(xs, depths, d):
-        assert got == dawson_cf(float(x), int(n)), (x, n)
-    # one point takes the allocating loop, more points the in-place one
+        assert got == _dawson_point(float(x), int(n)), (x, n)
+    # a one-element call, a shorter one and a 2-D one give the batch's values
     for i in range(0, depths.size, 97):
         assert dawson_cf(xs[i : i + 1], depths[i : i + 1])[0] == d[i]
+        assert dawson_cf(float(xs[i]), int(depths[i])) == d[i]
     assert np.array_equal(dawson_cf(xs[:200], depths[:200]), d[:200])
-    assert np.array_equal(dawson_cf(xs.reshape(40, -1), depths.reshape(40, -1)).ravel(), d)
-    assert np.array_equal(dawson_cf(xs, 61), [dawson_cf(float(x), 61) for x in xs])
+    assert np.array_equal(dawson_cf(xs.reshape(8, -1), depths.reshape(8, -1)).ravel(), d)
+    assert np.array_equal(dawson_cf(xs, 61), [_dawson_point(float(x), 61) for x in xs])
     assert dawson_cf(np.empty(0), np.empty(0, dtype=int)).shape == (0,)
     assert dawson_cf(np.empty(0), 61).shape == (0,)
     # every profile bin edge and its neighbours at the profile's depth, and
-    # x past x_big, where the fraction gives way to 1/(2x)
+    # x past x_big, where the fraction gives way to 1/(2x), with each
+    # depth's own x_big and its neighbours
     edges = np.arange(1, _BIN_DEPTH.size + 1) / _BINS_PER_UNIT
     xs = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
     xs = np.concatenate([xs, -xs, [3e153, -8.1e152, 1e200, np.finfo(float).max]])
     depths = np.concatenate([dawson_depth(xs[:-4]), [8, 61, 1, 344]])
+    big_n = np.array([1, 2, 61, 150, 344])
+    x_big = 6.3e153 / np.sqrt(big_n)
+    for near in (x_big, np.nextafter(x_big, 0), np.nextafter(x_big, np.inf)):
+        xs = np.concatenate([xs, near, -near])
+        depths = np.concatenate([depths, big_n, big_n])
     d = dawson_cf(xs, depths)
     for x, n, got in zip(xs, depths, d):
-        assert got == dawson_cf(float(x), int(n)), (x, n)
+        assert got == _dawson_point(float(x), int(n)), (x, n)
 
 
 def test_rejects_bad_per_point_depth():
@@ -138,7 +149,7 @@ def test_huge_x_per_point_depths():
         warnings.simplefilter("error")
         vec = dawson_cf(xs, depths)
         for x, n, got in zip(xs, depths, vec):
-            assert got == dawson_cf(float(x), int(n)), (x, n)
+            assert got == dawson_cf(float(x), int(n)) == _dawson_point(float(x), int(n)), (x, n)
 
 
 def test_depth_profile_lookup():

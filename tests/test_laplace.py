@@ -4,7 +4,7 @@ import pytest
 from conftest import rel_err
 from voigtw.laplace import laplace_rel_error, laplace_w
 from voigtw.oracle import ref_w
-from voigtw.scheme import boundary_z_c, external_depth
+from voigtw.scheme import _laplace_point, boundary_z_c, external_depth
 
 
 def test_large_z_leading_term():
@@ -33,7 +33,7 @@ def test_conjugate_parity_exact():
 def test_vectorized_matches_scalar():
     zs = np.array([25 + 0.1j, 300 + 1e-8j])
     vec = laplace_w(zs, 6)
-    assert all(vec[i] == laplace_w(complex(zs[i]), 6) for i in range(2))
+    assert all(vec[i] == laplace_w(complex(zs[i]), 6) == _laplace_point(zs[i], 6) for i in range(2))
 
 
 def test_rejects_zero_and_bad_depth():
@@ -60,11 +60,15 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
     tiny = np.exp(rng.uniform(np.log(5e-324), np.log(0.1), 400))
     zs = np.r_[zs, far + 1j * tiny, [1e300 + 5e-324j, -7.0 + 5e-324j]]
     depths = np.r_[depths, rng.integers(1, 66, 400), 65, 21]
+    # the array kernel against the scalar evaluator's complex128 loop
     w = laplace_w(zs, depths)
     for z, d, got in zip(zs, depths, w):
-        assert got == laplace_w(complex(z), int(d)), (z, d)
-    # a short call takes its quotients in a buffer of their own, a long one in place
+        assert got == _laplace_point(complex(z), int(d)), (z, d)
+    # a short call takes its quotients in a buffer of their own, a long one
+    # in place; a one-element call gives the batch's value
     assert np.array_equal(laplace_w(zs[:200], depths[:200]), w[:200])
+    for i in range(0, zs.size, 97):
+        assert laplace_w(complex(zs[i]), int(depths[i])) == w[i]
     assert laplace_w(np.empty(0, dtype=complex), np.empty(0, dtype=int)).shape == (0,)
 
 

@@ -14,6 +14,7 @@ from voigtw.scheme import (
     _EXT_DEPTH_EDGES,
     _EXT_DEPTHS,
     _PARAM_BANDS,
+    _y_record,
     boundary_x_c,
     boundary_z_c,
     eval_w,
@@ -113,6 +114,50 @@ def test_point_branch_reports_the_depth_used():
     assert point_branch(-3.0, 0.0) == ("axis", 61)
     assert point_branch(-1.0, 0.05) == ("internal", dawson_depth(1.0))
     assert point_branch(30.0, 0.01) == ("external", external_depth(np.hypot(30.0, 0.01)))
+
+
+@pytest.mark.parametrize("y", [0.0, 1e-3])
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+def test_point_branch_rejects_what_eval_w_rejects(x, y):
+    for f in (point_branch, eval_w):
+        with pytest.raises(ValueError, match="x must be finite"):
+            f(x, y)
+    # y is checked before x
+    for bad_y in (-1e-3, 0.2, np.nan):
+        for f in (point_branch, eval_w):
+            with pytest.raises(ValueError, match=r"y must lie in \[0, 0.1\]"):
+                f(x, bad_y)
+
+
+@pytest.mark.parametrize(
+    "y",
+    [np.float32(0.05), np.float32(1e-8), np.float32(0.0), np.float16(0.05), np.float16(1e-3),
+     np.array(0.05), np.array(1e-30)],
+)
+def test_narrow_or_0d_y_acts_as_its_float(y):
+    # a float32 y once stalled the x_c search: the hypot ran in float32
+    fy = float(y)
+    xs = np.r_[0.0, -1.0, 2.5, 30.0, -4000.0]
+    if fy > 0.0:
+        x_c = boundary_x_c(fy)
+        assert boundary_x_c(y) == x_c
+        xs = np.r_[xs, x_c, np.nextafter(x_c, 0), -np.nextafter(x_c, np.inf)]
+    got, want = eval_w_batch(xs, y), eval_w_batch(xs, fy)
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    for x, k, l in zip(xs, *want):
+        assert _bits(eval_w(x, y)).tolist() == _bits((k, l)).tolist(), (x, y)
+        assert point_branch(x, y) == point_branch(x, fy)
+
+
+def test_y_record_is_bounded():
+    _y_record.cache_clear()
+    for y in np.linspace(1e-4, 0.1, 1000):
+        eval_w(1.0, float(y))
+    info = _y_record.cache_info()
+    assert info.misses == 1000
+    assert info.currsize <= 128
+    eval_w(2.0, 0.1)
+    assert _y_record.cache_info().hits == info.hits + 1
 
 
 def test_external_depth_steps():

@@ -6,7 +6,7 @@ import pytest
 from conftest import rel_err, ulps
 from voigtw.dawson import dawson_cf, dawson_depth
 from voigtw.oracle import ref_dawson, ref_erfcx, ref_w
-from voigtw.scheme import eval_w_batch
+from voigtw.scheme import boundary_x_c, eval_w, eval_w_batch, select_params
 from voigtw.taylor import (
     SeriesParams,
     build_y_coefficients,
@@ -123,12 +123,18 @@ class TestEvalWInternal:
         assert rel_err(l, ref.imag) <= 1e-15
 
     def test_batch_matches_scalar_bitwise(self):
-        xs = np.array([0.0, 0.5, 2.0, 6.0])
-        p = SeriesParams(5, 61, 6)
-        kb, lb = eval_w_internal(xs, 0.02, p)
-        for i, x in enumerate(xs):
-            ks, ls = eval_w_internal(float(x), 0.02, p)
-            assert ks == kb[i] and ls == lb[i]
+        # the array series against the scalar evaluator's float path, at
+        # series orders N = 1..7, from x = 0 to the last x inside z_c(y)
+        for y in (1e-300, 1e-30, 1e-5, 1e-3, 0.01, 0.02, 0.05, 0.1):
+            x_c = boundary_x_c(y)
+            xs = np.r_[0.0, 5e-324, 1e-8, 0.5, 2.0, 6.0, np.linspace(0.0, x_c, 60)[1:-1]]
+            xs = np.r_[xs, np.nextafter(x_c, 0)]
+            kb, lb = eval_w_internal(xs, y, select_params(y))
+            for i, x in enumerate(xs):
+                want = np.array([kb[i], lb[i]]).view(np.uint64)
+                assert np.array_equal(np.array(eval_w(float(x), y)).view(np.uint64), want), (x, y)
+                one = eval_w_internal(float(x), y, select_params(y))
+                assert np.array_equal(np.array(one).view(np.uint64), want), (x, y)
 
 
 def test_derivative_relation():
