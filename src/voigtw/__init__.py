@@ -9,7 +9,7 @@ never participates in production evaluation.
 """
 
 from .coeffs import CoeffTables, build_pq_tables, get_tables, hermite_coeffs, p_closed_form
-from .dawson import dawson_cf, dawson_depth
+from .dawson import dawson_cf
 from .laplace import laplace_rel_error, laplace_w
 from .scheme import boundary_z_c, eval_w, eval_w_batch, external_depth, select_params
 from .taylor import (
@@ -31,7 +31,6 @@ __all__ = [
     "build_pq_tables",
     "build_y_coefficients",
     "dawson_cf",
-    "dawson_depth",
     "eval_w",
     "eval_w_batch",
     "eval_w_internal",

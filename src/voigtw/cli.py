@@ -5,7 +5,8 @@ Subcommands:
 
 * ``eval``     -- evaluate K and L at one point, optionally with oracle deltas,
                   and print the boundary z_c(y), x_c(y), the truncations
-                  (N, N_D, N_C), the branch taken and its fraction depth
+                  (N, N_D, N_C), the branch taken and its Dawson bin or
+                  fraction depth
 * ``errmap``   -- CSV of per-point relative errors vs the oracle over a grid,
                   with per-y max/mean aggregates
 * ``bench``    -- seeded throughput report for internal / external points
@@ -38,6 +39,9 @@ from .scheme import (
 from .taylor import Y_MAX
 
 _EXIT_DOMAIN = 2
+
+# how `eval` names the evaluator point_branch reports, with its depth or bin
+_EVALUATOR_LINE = {"dawson_cf": "dawson_depth", "laplace_w": "laplace_depth", "q_bin": "dawson_bin"}
 
 
 def _fmt(v):
@@ -84,9 +88,9 @@ def cmd_eval(args):
     print(f"z_c = {_fmt(z_c)}")
     print(f"x_c = {_fmt(x_c)}")
     print("N, N_D, N_C = {}, {}, {}".format(*select_params(args.y)))
-    branch, depth = point_branch(args.x, args.y)
+    branch, evaluator, n = point_branch(args.x, args.y)
     print(f"branch = {branch}")
-    print(f"{'laplace' if branch == 'external' else 'dawson'}_depth = {depth}")
+    print(f"{_EVALUATOR_LINE[evaluator]} = {n}")
     return 0
 
 

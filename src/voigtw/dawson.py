@@ -1,150 +1,121 @@
-"""Dawson's integral D(x) by a finite continued fraction, one depth per point.
+"""Dawson's integral: bin polynomials for D(x)/x and a finite continued fraction.
 
-The depth-N truncation reads
+The Taylor series needs D(x) only as Q(x) = D(x)/x, an even function
+with Q(0) = 1.  On [0, Q_TAIL) `dawson_q` reads Q from one polynomial
+per bin of width 1/4,
+
+    Q(x) ~ sum_k c[k, i] t^k,   i = floor(4x),  t = x - (i + 1/2)/4,
+
+of degree 11: the Chebyshev interpolant of Q on the bin, rewritten as
+monomials in t and rounded to doubles (after Cody, Paciorek & Thacher,
+"Chebyshev approximations for Dawson's integral", Math. Comp. 24, 1970).
+The table is package data, `dawson_q.npy`, generated from the
+multiprecision oracle by `oracle.dawson_q_table()`; it is stored
+degree-major, so each Horner step gathers one contiguous row.  4x is
+exact, and so is t from x = 1/16 on; Q stays within 1 ulp of the oracle.
+
+Past Q_TAIL, D(x) comes from the depth-n truncation of the continued
+fraction
 
     D(x) ~ x / (1 + 2x^2 - 4x^2 / (3 + 2x^2 - 8x^2 / (5 + 2x^2 - ...
-                                    - 4N x^2 / (2N + 1 + 2x^2))))
+                                    - 4n x^2 / (2n + 1 + 2x^2))))
 
-and is evaluated bottom-up (innermost denominator first).  N is one
-integer for the whole call or one per point; points are ordered deepest
-first, so level k updates the prefix of points whose depth is at least k
-and every point sees exactly the arithmetic of its own depth-N fraction.
-`deepest_first`, which plans that order, serves the Laplace fraction too.
-Every partial denominator depends on x only through x^2, hence the
-result is exactly odd in x.  Where 4N x^2 would overflow, D(x) is 1/(2x)
-to double precision (the next term is 1/(4x^3)) and used directly.
-
-`dawson_depth` gives the depth each x needs: a step profile in |x|,
-calibrated against the multiprecision oracle, that keeps the fraction
-within 3 ulp of D(x) while using about 63% of the 61 levels the
-parameter tables fix for every x.  `step_table` and `step_depth` hold
-and look up such a profile in uniform bins; the Laplace fraction's
-radius profile uses them too.
+evaluated bottom-up (innermost denominator first); depth TAIL_DEPTH
+keeps it within 3 ulp there.  The y = 0 axis runs the fraction at the
+tabulated N_D = 61.  Every partial denominator depends on x only through
+x^2, hence the fraction is exactly odd in x.  Where 4n x^2 would
+overflow, D(x) is 1/(2x) to double precision (the next term is
+1/(4x^3)) and used directly.
 """
 
 import math
+import numbers
+import os
 
 import numpy as np
 
-# Oracle-calibrated depth as a step function of |x| in bins of width
-# 1/4: depth i holds below edge i and from edge i - 1 on, the last depth
-# beyond the last edge.  Per bin: the least depth at which every deeper
-# fraction up to 61 stays within 3 ulp of ref_dawson on a 0.0025 grid
-# out to x = 90, plus one level, rounded up to one of seven values.  Few
-# distinct depths keep the prefix changes few, which small calls pay for
-# per call.
-_DAWSON_EDGES = (0.5, 1.0, 1.75, 2.5, 3.75, 6.0, 6.25, 6.5, 7.5, 10.0, 17.5)
-_DAWSON_DEPTHS = np.array([12, 18, 26, 36, 46, 53, 46, 36, 26, 18, 12, 8], dtype=np.uint8)
 _BINS_PER_UNIT = 4
+# _Q_COEFFS[k, i]: the t^k coefficient of bin i
+_Q_COEFFS = np.load(os.path.join(os.path.dirname(__file__), "dawson_q.npy"))
+_Q_CENTRES = (np.arange(_Q_COEFFS.shape[1]) + 0.5) / _BINS_PER_UNIT
+
+#: The bin polynomials cover [0, Q_TAIL); the fraction at TAIL_DEPTH the rest.
+Q_TAIL = _Q_COEFFS.shape[1] / _BINS_PER_UNIT
+TAIL_DEPTH = 8
 
 
-def step_table(edges, depths, bins_per_unit):
-    """One depth per bin for the profile depths[searchsorted(edges, v, "right")].
+def dawson_q(x):
+    """Q(x) = D(x)/x from the bin polynomials, for 0 <= x < Q_TAIL.
 
-    Bin i holds v in [i, i + 1) / bins_per_unit, the last bin every v
-    from edges[-1] on; every edge must lie on that grid.
+    x is a scalar or an ndarray; returns a float64 array of its shape.
+    Points outside [0, Q_TAIL) get the value of the nearest bin's
+    polynomial, which is not Q there.
     """
-    bins = [round(e * bins_per_unit) for e in edges]
-    return np.repeat(depths, np.diff([0, *bins, bins[-1] + 1]))
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    b = (x * _BINS_PER_UNIT).astype(np.intp)
+    t = x - _Q_CENTRES.take(b, mode="clip")
+    # Horner in t, gathering one coefficient row per degree
+    acc = _Q_COEFFS[-1].take(b, mode="clip")
+    tmp = np.empty_like(acc)
+    for row in _Q_COEFFS[-2::-1]:
+        acc *= t
+        row.take(b, out=tmp, mode="clip")
+        acc += tmp
+    return acc.reshape(shape)
 
 
-def step_depth(table, bins_per_unit, v):
-    """The depth of `step_table`'s profile at v >= 0; NaN takes the last step.
-
-    bins_per_unit is a power of two, so v * bins_per_unit is exact and each
-    bin decision is the one searchsorted makes on the edges.  Returns an
-    int for a scalar v, else an array of v's shape in the table's dtype.
-    """
-    v = np.fmin(v, (table.size - 1) / bins_per_unit)
-    out = table.take((v * bins_per_unit).astype(np.intp))
-    return out if out.ndim else int(out)
+# per bin, for one point without a numpy call: the leading coefficient
+# and a tuple of the others from the next degree down (a tuple, as a
+# slice per call would allocate a list)
+_Q_ROWS = [(col[-1], tuple(col[-2::-1])) for col in _Q_COEFFS.T.tolist()]
+_Q_CENTRE_LIST = _Q_CENTRES.tolist()
 
 
-_BIN_DEPTH = step_table(_DAWSON_EDGES, _DAWSON_DEPTHS, _BINS_PER_UNIT)
+def q_bin(x):
+    """The bin of `dawson_q`'s table holding one float 0 <= x < Q_TAIL."""
+    return int(x * _BINS_PER_UNIT)
 
 
-def deepest_first(n, shape, name):
-    """Order points deepest first for a bottom-up fraction of depth n.
-
-    n is a positive integer or an integer array of `shape`, one depth per
-    point; `name` labels it in error messages.  Returns (order, top, joins):
-    order is None when every point has the same depth, else the flat
-    permutation putting deeper points first; top is the greatest depth;
-    joins maps each depth k present to the number m of points of depth
-    >= k, so level k and the levels below it, down to the next join,
-    update the first m ordered points.
-    """
-    depth = np.asarray(n)
-    if depth.shape not in ((), shape):
-        raise ValueError(f"{name} must be an int or one depth per point, got shape {depth.shape}")
-    lo, top = (int(depth.min()), int(depth.max())) if depth.size else (1, 1)
-    if lo < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n}")
-    if lo == top:  # one depth: no bincount or sort
-        return None, top, {top: math.prod(shape)}
-    counts = np.bincount(depth.ravel()).tolist()  # counts[d]: points of depth d
-    # a small unsigned key, complemented so that ascending is deepest
-    # first: numpy's stable sort on it is a radix sort, and the order comes
-    # out contiguous, which keeps the gather and the scatter back cheap
-    key = ~depth.ravel().astype(np.min_scalar_type(top), copy=False)
-    order = np.argsort(key, kind="stable")
-    joins, m = {}, 0
-    for k in range(top, 0, -1):
-        if counts[k]:
-            m += counts[k]
-            joins[k] = m
-    return order, top, joins
-
-
-def dawson_depth(x):
-    """Per-point depth of the Dawson fraction for x, from the step profile.
-
-    Returns an int for a scalar x, else a uint8 array of x's shape.  The
-    profile is a function of |x| alone; non-finite x maps to the last step.
-    """
-    return step_depth(_BIN_DEPTH, _BINS_PER_UNIT, np.abs(np.asarray(x, dtype=np.float64)))
+def q_point(x, i):
+    """dawson_q at one float x in bin i, in float arithmetic: the same bits."""
+    t = x - _Q_CENTRE_LIST[i]
+    acc, rest = _Q_ROWS[i]
+    for c in rest:
+        acc = acc * t + c
+    return acc
 
 
 def dawson_cf(x, n_d):
     """Depth-n_d continued fraction approximation of Dawson's integral.
 
-    x is a scalar or ndarray; n_d a positive integer, or an integer array
-    of x's shape giving each point its own depth.  Returns a float for a
-    scalar x, else a float64 array of x's shape.
+    x is a scalar or ndarray, n_d a positive integer.  Returns a float for
+    a scalar x, else a float64 array of x's shape.
     """
+    if not isinstance(n_d, numbers.Integral) or n_d < 1:
+        raise ValueError(f"n_d must be a positive integer, got {n_d!r}")
     x = np.asarray(x, dtype=np.float64)
-    order, top, joins = deepest_first(n_d, x.shape, "n_d")
-    x_big = 6.3e153 / math.sqrt(top)  # below it 4 n_d x^2 < 1.6e308 stays finite
+    x_big = 6.3e153 / math.sqrt(n_d)  # below it 4 n_d x^2 < 1.6e308 stays finite
     if -x_big < x.min(initial=0.0) and x.max(initial=0.0) < x_big:
-        out = _fraction(x, order, top, joins)
+        out = _fraction(x, n_d)
     else:
         if not np.all(np.isfinite(x)):
             raise ValueError("dawson_cf requires finite x")
-        big = np.abs(x) >= 6.3e153 / np.sqrt(n_d)  # each point's own x_big
-        inner = _fraction(np.where(big, 0.0, x), order, top, joins)
+        big = np.abs(x) >= x_big
+        inner = _fraction(np.where(big, 0.0, x), n_d)
         out = np.where(big, 0.5 / np.where(big, x, 1.0), inner)
     return out if out.ndim else float(out)
 
 
-def _fraction(x, order, top, joins):
-    """The fraction at finite x, planned by deepest_first; an array of x's shape."""
-    xs = x.ravel() if order is None else x.ravel()[order]
-    # in place in one work buffer, s holding each level's partial terms
-    x2, tx2, t, s = np.empty((4, xs.size))
-    np.multiply(xs, xs, x2)
-    np.multiply(2.0, x2, tx2)
-    m = 0
-    for k in range(top, 0, -1):
-        if k in joins:  # points of depth k start from 2k + 1 + 2x^2
-            np.add(2 * k + 1, tx2[m : joins[k]], t[m : joins[k]])
-            m = joins[k]
-            th, sh, x2h, tx2h = t[:m], s[:m], x2[:m], tx2[:m]
-        # t = (2k - 1) + 2x^2 - 4k x^2 / t
-        np.multiply(4 * k, x2h, sh)
-        np.divide(sh, th, th)
-        np.add(2 * k - 1, tx2h, sh)
-        np.subtract(sh, th, th)
-    if order is None:
-        return (xs / t).reshape(x.shape)
-    xs[order] = xs / t  # one scatter back, into the spent gathered copy
-    return xs.reshape(x.shape)
+def _fraction(x, n):
+    """The depth-n fraction at a float or an array x with 4n x^2 finite.
+
+    The same operations in the same order on floats and on arrays, so
+    one point gives the same bits either way.
+    """
+    x2 = x * x
+    tx2 = 2.0 * x2
+    t = (2 * n + 1) + tx2
+    for k in range(n, 0, -1):  # t >= 0.6 (1 + 2x^2) > 0 at every level
+        t = (2 * k - 1) + tx2 - (4 * k) * x2 / t
+    return x / t

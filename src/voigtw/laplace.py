@@ -8,14 +8,14 @@ dispatcher keeps this branch outside the computing boundary, this module
 itself never restricts its domain.
 
 The depth N is one integer for the whole call or one per point.  Points
-are ordered deepest first (`dawson.deepest_first`), so level k
-updates, in place, the prefix of points whose depth is at least k; every
-point sees exactly the levels and arithmetic of its own depth-N fraction.
+are ordered deepest first (`deepest_first`), so level k updates, in
+place, the prefix of points whose depth is at least k; every point sees
+exactly the levels and arithmetic of its own depth-N fraction.
 """
 
-import numpy as np
+import math
 
-from .dawson import deepest_first
+import numpy as np
 
 _I_SQRT_PI = 1j / np.sqrt(np.pi)
 
@@ -24,6 +24,39 @@ _I_SQRT_PI = 1j / np.sqrt(np.pi)
 # the buffer; on large ones the fresh buffer's page faults cost more (the
 # two cross between 2048 and 4096 points on a 2-vCPU x86 VM, numpy 2.4).
 _OWN_QUOTIENT_MAX = 2048
+
+
+def deepest_first(n, shape, name):
+    """Order points deepest first for a bottom-up fraction of depth n.
+
+    n is a positive integer or an integer array of `shape`, one depth per
+    point; `name` labels it in error messages.  Returns (order, top, joins):
+    order is None when every point has the same depth, else the flat
+    permutation putting deeper points first; top is the greatest depth;
+    joins maps each depth k present to the number m of points of depth
+    >= k, so level k and the levels below it, down to the next join,
+    update the first m ordered points.
+    """
+    depth = np.asarray(n)
+    if depth.shape not in ((), shape):
+        raise ValueError(f"{name} must be an int or one depth per point, got shape {depth.shape}")
+    lo, top = (int(depth.min()), int(depth.max())) if depth.size else (1, 1)
+    if lo < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n}")
+    if lo == top:  # one depth: no bincount or sort
+        return None, top, {top: math.prod(shape)}
+    counts = np.bincount(depth.ravel()).tolist()  # counts[d]: points of depth d
+    # a small unsigned key, complemented so that ascending is deepest
+    # first: numpy's stable sort on it is a radix sort, and the order comes
+    # out contiguous, which keeps the gather and the scatter back cheap
+    key = ~depth.ravel().astype(np.min_scalar_type(top), copy=False)
+    order = np.argsort(key, kind="stable")
+    joins, m = {}, 0
+    for k in range(top, 0, -1):
+        if counts[k]:
+            m += counts[k]
+            joins[k] = m
+    return order, top, joins
 
 
 def laplace_w(z, n_c):

@@ -37,6 +37,33 @@ def ref_dawson(x, dps=_BASE_DPS):
         return mp.sqrt(mp.pi) / 2 * mp.exp(-xm * xm) * mp.erfi(xm)
 
 
+def dawson_q_table(bins=range(70), degree=11, width=0.25, dps=60):
+    """Bin polynomials for Q(x) = D(x)/x, as `voigtw.dawson` stores them.
+
+    Bin i covers [i, i + 1) * width.  Its polynomial interpolates Q at the
+    degree + 1 Chebyshev nodes of the bin, solved for monomials in
+    t = x - (i + 1/2) * width in multiprecision and only then rounded to
+    doubles.  The Vandermonde system is ill-conditioned: at 40 digits a
+    few high-degree coefficients still round differently, from 60 on the
+    table no longer changes (checked at 80 and 100).
+    Returns a float64 array of shape (degree + 1, len(bins)),
+    degree-major: row k holds the t^k coefficient of each bin.
+    """
+    import numpy as np
+
+    n = degree + 1
+    table = np.empty((n, len(bins)))
+    with mp.workdps(dps):
+        h = mp.mpf(width) / 2
+        t = [h * mp.cos(mp.pi * (j + mp.mpf(1) / 2) / n) for j in range(n)]
+        vandermonde = mp.matrix([[tj**k for k in range(n)] for tj in t])
+        for col, i in enumerate(bins):
+            x = [(2 * i + 1) * h + tj for tj in t]
+            q = mp.matrix([ref_dawson(xj, dps) / xj for xj in x])
+            table[:, col] = [float(c) for c in mp.lu_solve(vandermonde, q)]
+    return table
+
+
 def ref_erfcx(y, dps=_BASE_DPS):
     """High-precision scaled complementary error function exp(y^2) erfc(y)."""
     with mp.workdps(dps):

@@ -9,15 +9,17 @@ compares x with x_c(y), the first x whose hypot(x, y) reaches z_c(y)
 is computed only for the external points, which need it for their depth.
 A batch whose points all take one branch passes its array to that branch
 whole; only a mixed batch gathers each branch's points and scatters the
-results back.  The series takes its Dawson depth per x
-(`dawson.dawson_depth`); the tabulated N_D serves the y = 0 axis alone.
+results back.  The series reads D(x)/x from the bin polynomials of
+`dawson.dawson_q`, or past their last bin from the depth-8 fraction; the
+tabulated N_D serves the y = 0 axis alone.
 
 `eval_w` evaluates one point in scalar arithmetic, bit for bit what
 `eval_w_batch` gives for it.  Its per-y state (parameters, fold, x_c) is
 one record of a 128-entry LRU cache keyed by y, which `point_branch`
-reads too.  The Dawson fraction and the Horner sums run on Python
-floats, as IEEE + - * / round alike on floats and arrays.  The rest
-stays numpy's, where Python rounds differently from the ufuncs:
+reads too.  The Dawson polynomials and fraction and the Horner sums run
+on Python floats, as IEEE + - * / round alike on floats and arrays and
+neither side fuses a multiply with an add.  The rest stays numpy's,
+where Python rounds differently from the ufuncs:
 `np.exp` (`math.exp` differs on about 4% of arguments in [-745, 0], an
 AVX-512 build), `np.hypot` (`math.hypot` on about 0.6% of random pairs
 of like size) and complex128 scalars for the Laplace fraction (Python's
@@ -28,7 +30,7 @@ for the fixed |z| >= 22 split; close to z_c(y) the fraction needs more
 levels (about 19 at |z| ~ 6.65, falling to 6 by |z| ~ 20).  That profile
 was calibrated against the high-accuracy oracle on a dense radius grid
 and is applied per point as a step function of |z|, looked up in
-half-unit bins (`dawson.step_depth`).  Its last step is the tabulated
+half-unit bins (`external_depth`).  Its last step is the tabulated
 N_C = 6, so no floor is needed.  The whole external branch
 is one Laplace fraction call with one depth per point, so batch and
 scalar evaluation agree bit for bit.
@@ -43,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dawson import _BIN_DEPTH, _BINS_PER_UNIT, dawson_cf, step_depth, step_table
+from .dawson import Q_TAIL, TAIL_DEPTH, _fraction, dawson_cf, q_bin, q_point
 from .laplace import _I_SQRT_PI, laplace_w
 from .taylor import (
     SeriesParams,
@@ -102,13 +104,16 @@ _PARAM_BANDS = {
 # Oracle-calibrated continued-fraction depth needed to reach the double
 # precision floor, as a step function of |z|: depth i below edge i and
 # from edge i - 1 on.  The edges lie on a half-unit grid, so the profile
-# is looked up in bins of width 1/2.
+# is looked up in bins of width 1/2: bin j holds |z| in [j, j + 1)/2, the
+# last bin every |z| from the last edge on.
 _EXT_DEPTH_EDGES = np.array(
     [7.0, 7.5, 8.0, 8.5, 9.0, 9.5, 10.0, 11.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0]
 )
 _EXT_DEPTHS = np.array([21, 19, 17, 16, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6])
 _EXT_BINS_PER_UNIT = 2
-_EXT_BIN_DEPTH = step_table(_EXT_DEPTH_EDGES, _EXT_DEPTHS, _EXT_BINS_PER_UNIT)
+_ext_bins = (_EXT_DEPTH_EDGES * _EXT_BINS_PER_UNIT).astype(int).tolist()
+_EXT_BIN_DEPTH = np.repeat(_EXT_DEPTHS, np.diff([0, *_ext_bins, _ext_bins[-1] + 1]))
+_EXT_R_MAX = (_EXT_BIN_DEPTH.size - 1) / _EXT_BINS_PER_UNIT
 
 
 def boundary_z_c(y, level=1e-16):
@@ -156,8 +161,15 @@ def select_params(y, level=1e-16):
 
 
 def external_depth(r):
-    """Per-point Laplace depth reaching the double-precision floor at radius r >= 0."""
-    return step_depth(_EXT_BIN_DEPTH, _EXT_BINS_PER_UNIT, np.asarray(r, dtype=np.float64))
+    """Per-point Laplace depth reaching the double-precision floor at radius r >= 0.
+
+    Returns an int for a scalar r, else an array of r's shape.  The bin
+    width is a power of two, so r * 2 is exact and each bin decision is
+    the one the edges make; NaN takes the last step.
+    """
+    r = np.fmin(np.asarray(r, dtype=np.float64), _EXT_R_MAX)
+    out = _EXT_BIN_DEPTH.take((r * _EXT_BINS_PER_UNIT).astype(np.intp))
+    return out if out.ndim else int(out)
 
 
 def eval_w_batch(xs, y):
@@ -207,14 +219,8 @@ def _external(ax, y):
     return laplace_w(ax + 1j * y, external_depth(np.hypot(ax, y)))
 
 
-# the step profiles as lists, for one point's depth without a numpy call
-_DAWSON_DEPTH_LIST = _BIN_DEPTH.tolist()
+# the step profile as a list, for one point's depth without a numpy call
 _EXT_DEPTH_LIST = _EXT_BIN_DEPTH.tolist()
-
-
-def _step(table, bins_per_unit, v):
-    """`step_depth` at one float v >= 0, on its table as a list."""
-    return table[int(min(v, (len(table) - 1) / bins_per_unit) * bins_per_unit)]
 
 
 @lru_cache(maxsize=128)
@@ -227,7 +233,7 @@ def _y_record(y):
 
 
 def _point_plan(x, y):
-    """Check one point as eval_w does; (branch, depth, x, y, fold) as floats and ints."""
+    """Check one point as eval_w does; point_branch's triple, then x, y and the fold."""
     y = float(y)
     params, fold, x_c = _y_record(y)
     x = float(x)
@@ -235,22 +241,20 @@ def _point_plan(x, y):
         raise ValueError("x must be finite")
     ax = abs(x)
     if y == 0.0:
-        return "axis", params.n_d, x, y, fold
+        return "axis", "dawson_cf", params.n_d, x, y, fold
     if ax < x_c:
-        return "internal", _step(_DAWSON_DEPTH_LIST, _BINS_PER_UNIT, ax), x, y, fold
-    return "external", _step(_EXT_DEPTH_LIST, _EXT_BINS_PER_UNIT, np.hypot(ax, y)), x, y, fold
+        if ax < Q_TAIL:
+            return "internal", "q_bin", q_bin(ax), x, y, fold
+        return "internal", "dawson_cf", TAIL_DEPTH, x, y, fold
+    r = min(np.hypot(ax, y), _EXT_R_MAX)
+    return "external", "laplace_w", _EXT_DEPTH_LIST[int(r * _EXT_BINS_PER_UNIT)], x, y, fold
 
 
 def _dawson_point(x, n):
     """dawson_cf(x, n) at one finite float x, in float arithmetic."""
     if abs(x) >= 6.3e153 / math.sqrt(n):  # 4 n x^2 would overflow
         return 0.5 / x
-    x2 = x * x
-    tx2 = 2.0 * x2
-    t = (2 * n + 1) + tx2
-    for k in range(n, 0, -1):  # t >= 0.6 (1 + 2x^2) > 0 at every level
-        t = (2 * k - 1) + tx2 - (4 * k) * x2 / t
-    return x / t
+    return _fraction(x, n)
 
 
 def _laplace_point(z, n):
@@ -262,13 +266,15 @@ def _laplace_point(z, n):
 
 
 def point_branch(x, y):
-    """The branch eval_w(x, y) takes and the continued-fraction depth it uses.
+    """The branch eval_w(x, y) takes, and the evaluator it runs there.
 
-    Returns ("axis", N_D) at y = 0, ("internal", Dawson depth) inside the
-    computing boundary and ("external", Laplace depth) outside it.  Rejects
-    what eval_w rejects, with the same errors.
+    Returns (branch, evaluator, n): ("axis", "dawson_cf", N_D) at y = 0;
+    inside the computing boundary ("internal", "q_bin", i) when D(x)/x
+    comes from bin i of the Dawson polynomials and ("internal",
+    "dawson_cf", 8) past their last bin; ("external", "laplace_w", depth)
+    outside it.  Rejects what eval_w rejects, with the same errors.
     """
-    return _point_plan(x, y)[:2]
+    return _point_plan(x, y)[:3]
 
 
 def eval_w(x, y):
@@ -276,16 +282,16 @@ def eval_w(x, y):
 
     Bit for bit eval_w_batch's result, computed in scalar arithmetic.
     """
-    branch, depth, x, y, fold = _point_plan(x, y)
+    branch, evaluator, n, x, y, fold = _point_plan(x, y)
     ax = abs(x)
     if branch == "axis":
         k = np.exp(-np.square(min(ax, 30.0)))
-        l = _TWO_OVER_SQRT_PI * _dawson_point(ax, depth)
+        l = _TWO_OVER_SQRT_PI * _dawson_point(ax, n)
     elif branch == "internal":
-        f = _dawson_point(ax, depth)
-        k, l = series_w(fold, ax, f, f / ax if ax else 1.0)
+        q = q_point(ax, n) if evaluator == "q_bin" else _dawson_point(ax, n) / ax
+        k, l = series_w(fold, ax, q)
     else:
-        w = _laplace_point(complex(ax, y), depth)
+        w = _laplace_point(complex(ax, y), n)
         k, l = w.real, w.imag
     if math.copysign(1.0, x) < 0.0:  # L is odd in x
         l = -l

@@ -3,15 +3,17 @@
 For a fixed y the exact integer tables are folded with powers of y into
 six coefficient vectors (alpha, beta, gamma for L; their primed partners
 for K).  Each evaluation is then three even-polynomial Horner sums in x^2
-plus one Dawson continued fraction, at a depth chosen per x, and one
-exp(-x^2):
+plus Q(x) = D(x)/x, Dawson's integral over x, and one exp(-x^2):
 
-    L = (1/sqrt(pi)) F(x) * A(x^2) + x e^{-x^2} B(x^2) + (1/sqrt(pi)) x G(x^2)
-    K = (1/sqrt(pi)) (F(x)/x) A'(x^2) + e^{-x^2} B'(x^2) + (1/sqrt(pi)) G'(x^2)
+    K = q A'(x^2) + e^{-x^2} B'(x^2) + (1/sqrt(pi)) G'(x^2)
+    L = x (q A(x^2) + e^{-x^2} B(x^2) + (1/sqrt(pi)) G(x^2)),   q = Q(x)/sqrt(pi)
 
-where F(x)/x takes its limit 1 at x = 0, so the same sum gives K(0, y) =
-e^{y^2} erfc y.  Both are assembled by one function, `series_w`, which
-shares x^2, F(x) and exp(-x^2) between them and takes floats as well as
+Q is even with Q(0) = 1, so the same sum gives K(0, y) = e^{y^2} erfc y
+and no point needs a division or a special case.  Q comes from the bin
+polynomials of `dawson.dawson_q` below Q_TAIL and from the depth-8
+Dawson fraction over x beyond it, which only y below about 1e-110
+reaches.  K and L are assembled by one function, `series_w`, which
+shares x^2, q and exp(-x^2) between them and takes floats as well as
 arrays, so the scalar evaluator (`scheme.eval_w`) runs the very
 expressions `eval_w_internal` runs on arrays.  The fold is O(N^2)
 but x-independent, so it is shared by batch evaluation and kept in a
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coeffs import DEFAULT_M_MAX, get_tables
-from .dawson import dawson_cf, dawson_depth
+from .dawson import Q_TAIL, TAIL_DEPTH, dawson_cf, dawson_q
 
 _ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -130,43 +132,52 @@ def _horner(coeffs, x2):
     return acc
 
 
-def series_w(c, x, f, f_over_x):
-    """K and L of the series from the fold c at x >= 0, given F(x) and F(x)/x.
+def series_w(c, x, q):
+    """K and L of the series from the fold c at x >= 0, given Q(x) = D(x)/x.
 
-    x, F(x) and F(x)/x are floats, or arrays of one shape; x^2 and
+    x and Q(x) are floats, or arrays of one shape; x^2, Q(x)/sqrt(pi) and
     exp(-x^2) are shared between K and L.  Returns (K, L).
     """
     x2 = x * x
     ex = np.exp(-x2)
-    # rebinding drops the last reference to a caller's temporary F(x)/x,
-    # and K is formed before L: fewer large temporaries live at once, so
-    # big batches fault fewer heap pages (one 16384-point array less at
-    # the peak)
-    f_over_x = _ONE_OVER_SQRT_PI * f_over_x
+    # rebinding drops the last reference to a caller's temporary Q(x), so
+    # big batches hold one full-length array less while K and L are formed
+    q = _ONE_OVER_SQRT_PI * q
     k = (
-        f_over_x * _horner(c.alpha_p, x2)
+        q * _horner(c.alpha_p, x2)
         + ex * _horner(c.beta_p, x2)
         + _ONE_OVER_SQRT_PI * _horner(c.gamma_p, x2)
     )
-    del f_over_x
-    l = (
-        _ONE_OVER_SQRT_PI * f * _horner(c.alpha, x2)
-        + x * ex * _horner(c.beta, x2)
-        + _ONE_OVER_SQRT_PI * x * _horner(c.gamma, x2)
+    # x factored out: three products fewer, and a subnormal L rounds once
+    l = x * (
+        q * _horner(c.alpha, x2)
+        + ex * _horner(c.beta, x2)
+        + _ONE_OVER_SQRT_PI * _horner(c.gamma, x2)
     )
     return k, l
 
 
-def eval_w_internal(x, y, params):
-    """Internal-branch evaluation of (K, L) at x >= 0, 0 <= y <= 0.1.
+def _dawson_q(x):
+    """Q(x) = D(x)/x at an array of x >= 0: bin polynomials, the fraction past Q_TAIL."""
+    if x.max(initial=0.0) < Q_TAIL:
+        return dawson_q(x)
+    tail = ~(x < Q_TAIL)  # NaN too, which dawson_cf rejects
+    q = dawson_q(np.where(tail, 0.0, x))
+    xt = x[tail]
+    q[tail] = dawson_cf(xt, TAIL_DEPTH) / xt
+    return q
 
-    Reuses the cached coefficient fold for y; the Dawson fraction takes
-    each x's own depth from `dawson_depth`, so params.n_d is not used
-    here.  Returns floats for a scalar x, else arrays of x's shape.
+
+def eval_w_internal(x, y, params):
+    """Internal-branch evaluation of (K, L) at x, 0 <= y <= 0.1.
+
+    Reuses the cached coefficient fold for y; Q(x) comes from the bin
+    polynomials or, past Q_TAIL, the depth-8 fraction, so params.n_d is
+    not used here.  Q is even, so a negative x reads Q at |x|, and K
+    comes out even and L odd.  Returns floats for a scalar x, else
+    arrays of x's shape.
     """
     c = cached_y_coefficients(float(y), params)
     x = np.asarray(x, dtype=np.float64)
-    f = dawson_cf(x, dawson_depth(x))
-    # F(x)/x takes its limit 1 at x = 0, where the quotient itself is 0/0
-    k, l = series_w(c, x, f, np.divide(f, x, out=np.ones_like(x), where=x != 0.0))
+    k, l = series_w(c, x, _dawson_q(np.abs(x)))
     return VoigtValue(k, l) if x.ndim else VoigtValue(float(k), float(l))

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from voigtw.cli import bench_points, find_boundary, main
-from voigtw.dawson import dawson_depth
 from voigtw.scheme import (
     boundary_x_c,
     boundary_z_c,
@@ -37,8 +36,10 @@ class TestEval:
     @pytest.mark.parametrize(
         "x, y, branch, line",
         [
-            (1.0, 0.05, "internal", f"dawson_depth = {dawson_depth(1.0)}"),
-            (-5.0, 1e-8, "internal", f"dawson_depth = {dawson_depth(5.0)}"),
+            (1.0, 0.05, "internal", "dawson_bin = 4"),
+            (-5.0, 1e-8, "internal", "dawson_bin = 20"),
+            # past the last Dawson bin, only inside z_c for y below about 1e-110
+            (20.0, 1e-300, "internal", "dawson_depth = 8"),
             (30.0, 0.01, "external", f"laplace_depth = {external_depth(np.hypot(30.0, 0.01))}"),
             # the first x outside, at the deepest Laplace step
             (boundary_x_c(0.05), 0.05, "external", "laplace_depth = 21"),

@@ -1,13 +1,15 @@
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dawson_maclaurin, rel_err, ulps
-from voigtw.dawson import _BIN_DEPTH, _BINS_PER_UNIT, dawson_cf, dawson_depth
-from voigtw.oracle import ref_dawson
+from voigtw.dawson import Q_TAIL, TAIL_DEPTH, _Q_COEFFS, dawson_cf, dawson_q, q_bin, q_point
+from voigtw.oracle import dawson_q_table, ref_dawson
 from voigtw.scheme import _dawson_point
+from voigtw.taylor import _dawson_q
 
 
 def test_zero():
@@ -94,86 +96,92 @@ def test_rejects_nonfinite(bad):
         dawson_cf(bad, 61)
 
 
-def test_per_point_depth_matches_scalar_depth_bitwise():
-    # the array kernel against the scalar evaluator's float loop, at every
-    # depth up to the 1e-100 tables' 344
+def test_array_matches_scalar_at_every_depth():
+    # the array fraction against the scalar evaluator's float loop, at
+    # every depth up to the 1e-100 tables' 344
     rng = np.random.default_rng(7)
-    depths = rng.permutation(np.repeat(np.arange(1, 345), 8))
-    xs = rng.uniform(-25, 25, depths.size)
-    d = dawson_cf(xs, depths)
-    for x, n, got in zip(xs, depths, d):
-        assert got == _dawson_point(float(x), int(n)), (x, n)
-    # a one-element call, a shorter one and a 2-D one give the batch's values
-    for i in range(0, depths.size, 97):
-        assert dawson_cf(xs[i : i + 1], depths[i : i + 1])[0] == d[i]
-        assert dawson_cf(float(xs[i]), int(depths[i])) == d[i]
-    assert np.array_equal(dawson_cf(xs[:200], depths[:200]), d[:200])
-    assert np.array_equal(dawson_cf(xs.reshape(8, -1), depths.reshape(8, -1)).ravel(), d)
-    assert np.array_equal(dawson_cf(xs, 61), [_dawson_point(float(x), 61) for x in xs])
-    assert dawson_cf(np.empty(0), np.empty(0, dtype=int)).shape == (0,)
+    xs = rng.uniform(-25, 25, 8)
+    for n in range(1, 345):
+        d = dawson_cf(xs, n)
+        assert [_dawson_point(float(x), n) for x in xs] == d.tolist(), n
+        assert dawson_cf(float(xs[n % 8]), n) == d[n % 8]
+    # a 2-D and an empty call
+    assert np.array_equal(dawson_cf(xs.reshape(2, 4), 61).ravel(), dawson_cf(xs, 61))
     assert dawson_cf(np.empty(0), 61).shape == (0,)
-    # every profile bin edge and its neighbours at the profile's depth, and
     # x past x_big, where the fraction gives way to 1/(2x), with each
-    # depth's own x_big and its neighbours
-    edges = np.arange(1, _BIN_DEPTH.size + 1) / _BINS_PER_UNIT
-    xs = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
-    xs = np.concatenate([xs, -xs, [3e153, -8.1e152, 1e200, np.finfo(float).max]])
-    depths = np.concatenate([dawson_depth(xs[:-4]), [8, 61, 1, 344]])
-    big_n = np.array([1, 2, 61, 150, 344])
-    x_big = 6.3e153 / np.sqrt(big_n)
-    for near in (x_big, np.nextafter(x_big, 0), np.nextafter(x_big, np.inf)):
-        xs = np.concatenate([xs, near, -near])
-        depths = np.concatenate([depths, big_n, big_n])
-    d = dawson_cf(xs, depths)
-    for x, n, got in zip(xs, depths, d):
-        assert got == _dawson_point(float(x), int(n)), (x, n)
+    # depth's own x_big and its neighbours, next to points that stay inside
+    big_n = [1, 2, 61, 150, 344]
+    for n in big_n:
+        x_big = 6.3e153 / np.sqrt(n)
+        xs = np.array([x_big, np.nextafter(x_big, 0), np.nextafter(x_big, np.inf), 3e153, 1e300, 1.0, 0.0])
+        xs = np.concatenate([xs, -xs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = dawson_cf(xs, n)
+        assert [_dawson_point(float(x), n) for x in xs] == d.tolist(), n
 
 
 def test_rejects_bad_per_point_depth():
+    # the fraction takes one depth for the whole call
     xs = np.array([0.5, 1.0, 2.0])
-    for bad in ([6, 0, 6], [6, -3, 9]):
-        with pytest.raises(ValueError, match="positive"):
+    for bad in ([6, 8, 6], [6, 0, 6], [8]):
+        with pytest.raises(ValueError, match="positive integer"):
             dawson_cf(xs, np.array(bad))
-    for shape in ((2,), (3, 1), (1, 3)):
-        with pytest.raises(ValueError, match="one depth per point"):
-            dawson_cf(xs, np.full(shape, 8))
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
-            dawson_cf(np.array([1.0, bad, 2.0]), np.array([8, 9, 10]))
+            dawson_cf(np.array([1.0, bad, 2.0]), 8)
 
 
-def test_huge_x_per_point_depths():
-    xs = np.array([1e300, -4e152, 1.0, 1e153, 5.0, -np.finfo(float).max, 0.0, 22.0])
-    depths = np.array([1, 61, 17, 344, 54, 2, 9, 61])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        vec = dawson_cf(xs, depths)
-        for x, n, got in zip(xs, depths, vec):
-            assert got == dawson_cf(float(x), int(n)) == _dawson_point(float(x), int(n)), (x, n)
+def _q_ulps(xs, q):
+    """Worst error of q against the oracle's D(x)/x, in units of 2^-52."""
+    worst = 0.0
+    for x, v in zip(xs.tolist(), q.tolist()):
+        ref = ref_dawson(x) / mp.mpf(x) if x else mp.mpf(1)
+        worst = max(worst, rel_err(v, ref))
+    return worst / ulps(1)
 
 
-def test_depth_profile_lookup():
-    edges = np.arange(1, _BIN_DEPTH.size) / _BINS_PER_UNIT
-    # every bin edge starts the next bin; below it the previous one holds
-    assert np.array_equal(dawson_depth(edges), _BIN_DEPTH[1:])
-    assert np.array_equal(dawson_depth(np.nextafter(edges, 0)), _BIN_DEPTH[:-1])
-    assert np.array_equal(dawson_depth(-edges), dawson_depth(edges))
-    assert type(dawson_depth(5.0)) is int and dawson_depth(0.0) == _BIN_DEPTH[0]
-    tail = [81.3, 1e6, 1e300, np.finfo(float).max, np.inf, np.nan]
-    assert np.all(dawson_depth(tail) == _BIN_DEPTH[-1])
-    assert dawson_depth(np.zeros((2, 3))).shape == (2, 3)
-    assert dawson_depth(np.empty(0)).shape == (0,)
-    # the internal branch uses fewer levels than the tabulated 61 everywhere
-    assert _BIN_DEPTH.max() < 61
+def test_q_within_3_ulp():
+    # a 0.0025 grid, random x, every bin edge and its neighbours, and
+    # subnormal x; past Q_TAIL the depth-8 fraction out to x = 90, past
+    # the x_c(y) of the smallest subnormal y
+    rng = np.random.default_rng(12)
+    edges = np.arange(_Q_COEFFS.shape[1] + 1) / 4
+    xs = np.concatenate([
+        np.arange(7000) * 0.0025,
+        rng.uniform(0.0, Q_TAIL, 4000),
+        edges, np.nextafter(edges[1:], 0), np.nextafter(edges, np.inf),
+        [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308],
+        np.linspace(Q_TAIL, 90.0, 300),
+    ])
+    q = _dawson_q(xs)
+    inside = xs < Q_TAIL
+    assert np.array_equal(q[inside], dawson_q(xs[inside]))
+    assert _q_ulps(xs, q) <= 3
 
 
-def test_depth_profile_within_3_ulp():
-    # every bin edge and its neighbours, then a grid out past x = 81, where
-    # z_c(y) extrapolates for the smallest subnormal y
-    edges = np.arange(1, _BIN_DEPTH.size + 1) / _BINS_PER_UNIT
-    xs = np.concatenate(
-        [edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), np.linspace(1e-3, 90, 700)]
-    )
-    vals = dawson_cf(xs, dawson_depth(xs))
-    worst = max(rel_err(v, ref_dawson(x)) for x, v in zip(xs, vals))
-    assert worst <= ulps(3)
+def test_q_at_zero_is_one():
+    assert dawson_q(0.0) == 1.0
+    assert q_point(0.0, q_bin(0.0)) == 1.0
+    assert _dawson_q(np.zeros(3)).tolist() == [1.0] * 3
+
+
+def test_q_point_matches_array():
+    rng = np.random.default_rng(3)
+    edges = np.arange(_Q_COEFFS.shape[1]) / 4
+    xs = np.concatenate([edges, np.nextafter(edges[1:], 0), np.nextafter(edges, np.inf),
+                         rng.uniform(0.0, Q_TAIL, 2000), [5e-324, np.nextafter(Q_TAIL, 0)]])
+    q = dawson_q(xs)
+    assert [q_point(x, q_bin(x)) for x in xs.tolist()] == q.tolist()
+    assert np.array_equal(dawson_q(xs[:2000].reshape(40, 50)).ravel(), q[:2000])
+    assert dawson_q(np.empty(0)).shape == (0,)
+    # past Q_TAIL the series takes the fraction at TAIL_DEPTH, divided by x
+    xt = np.array([Q_TAIL, np.nextafter(Q_TAIL, np.inf), 40.0, 81.3])
+    assert _dawson_q(np.r_[1.0, xt])[1:].tolist() == (dawson_cf(xt, TAIL_DEPTH) / xt).tolist()
+
+
+def test_q_table_regenerates():
+    # three bins from the multiprecision generator, bit for bit the package data
+    bins = [0, 33, _Q_COEFFS.shape[1] - 1]
+    assert np.array_equal(dawson_q_table(bins=bins), _Q_COEFFS[:, bins])
+    assert _Q_COEFFS.shape == (12, 70) and _Q_COEFFS.flags.c_contiguous

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
-from voigtw.dawson import dawson_depth
+from voigtw.dawson import TAIL_DEPTH
 from voigtw.laplace import laplace_w
 from voigtw.scheme import (
     _EXT_DEPTH_EDGES,
@@ -111,9 +111,13 @@ def test_split_at_x_c_is_the_hypot_rule(y):
 
 
 def test_point_branch_reports_the_depth_used():
-    assert point_branch(-3.0, 0.0) == ("axis", 61)
-    assert point_branch(-1.0, 0.05) == ("internal", dawson_depth(1.0))
-    assert point_branch(30.0, 0.01) == ("external", external_depth(np.hypot(30.0, 0.01)))
+    assert point_branch(-3.0, 0.0) == ("axis", "dawson_cf", 61)
+    # inside z_c: the Dawson polynomial's bin, or past the last bin the fraction
+    assert point_branch(-1.0, 0.05) == ("internal", "q_bin", 4)
+    assert point_branch(0.0, 0.05) == ("internal", "q_bin", 0)
+    assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "q_bin", 69)
+    assert point_branch(17.5, 1e-300) == ("internal", "dawson_cf", TAIL_DEPTH)
+    assert point_branch(30.0, 0.01) == ("external", "laplace_w", external_depth(np.hypot(30.0, 0.01)))
 
 
 @pytest.mark.parametrize("y", [0.0, 1e-3])

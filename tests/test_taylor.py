@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import rel_err, ulps
-from voigtw.dawson import dawson_cf, dawson_depth
+from voigtw.dawson import Q_TAIL, _Q_COEFFS
 from voigtw.oracle import ref_dawson, ref_erfcx, ref_w
 from voigtw.scheme import boundary_x_c, eval_w, eval_w_batch, select_params
 from voigtw.taylor import (
@@ -79,13 +80,32 @@ class TestEvalL:
     def test_zero_at_origin(self):
         assert eval_w_internal(0.0, 0.05, P16).l == 0.0
 
+    def test_parity(self):
+        xs = np.array([0.3, 2.0, 6.1, 17.0, 17.5, 30.0])
+        k, l = eval_w_internal(xs, 1e-300, P16)
+        km, lm = eval_w_internal(-xs, 1e-300, P16)
+        assert np.array_equal(km, k) and np.array_equal(lm, -l)
+
     def test_y0_is_scaled_dawson_exact(self):
-        # the series takes its Dawson depth per x from the profile, not N_D
+        # at y = 0 the series collapses to L = x (2/sqrt(pi)) Q(x), from the
+        # bin polynomials and past Q_TAIL the fraction: within criterion 2's
+        # 3 ulp of 2 D(x)/sqrt(pi)
         xs = np.linspace(0, 25, 301)
-        d = dawson_cf(xs, dawson_depth(xs))
-        expect = (2.0 / np.sqrt(np.pi)) * d
-        assert np.array_equal(eval_w_internal(xs, 0.0, P16).l, expect)
-        assert max(rel_err(v, ref_dawson(x)) for x, v in zip(xs[1:], d[1:])) <= ulps(3)
+        l = eval_w_internal(xs, 0.0, P16).l
+        assert l[0] == 0.0
+        two = 2 / mp.sqrt(mp.pi)
+        assert max(rel_err(v, two * ref_dawson(x)) for x, v in zip(xs[1:], l[1:])) <= ulps(3)
+
+    @pytest.mark.parametrize("y", [1e-300, 1e-100, 1e-8, 1e-3, 0.1])
+    def test_subnormal_x(self, y):
+        # where L is subnormal it is good to 2e-15 relative or one subnormal
+        # ulp (2^-1074), whichever is larger
+        rng = np.random.default_rng(153)
+        xs = np.exp(rng.uniform(np.log(5e-324), np.log(2.2250738585072014e-308), 153))
+        l = eval_w_batch(xs, y).l
+        for x, v in zip(xs.tolist(), l.tolist()):
+            ref = ref_w(x, y).imag
+            assert abs(v - ref) <= max(2e-15 * abs(ref), mp.mpf(2) ** -1074), (x, y)
 
     def test_interior_point_vs_oracle(self):
         p = SeriesParams(6, 61, 6)  # the 0.039811 <= y < 0.063096 band
@@ -135,6 +155,19 @@ class TestEvalWInternal:
                 assert np.array_equal(np.array(eval_w(float(x), y)).view(np.uint64), want), (x, y)
                 one = eval_w_internal(float(x), y, select_params(y))
                 assert np.array_equal(np.array(one).view(np.uint64), want), (x, y)
+
+    @pytest.mark.parametrize("y", [1e-120, 1e-300])
+    def test_batch_matches_scalar_at_dawson_bins(self, y):
+        # every bin edge of the Dawson polynomials and its neighbours, and
+        # Q_TAIL, where the depth-8 fraction takes over, with its neighbours
+        edges = np.arange(_Q_COEFFS.shape[1] + 1) / 4
+        xs = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        xs = np.concatenate([xs, [np.nextafter(Q_TAIL, 0), Q_TAIL, np.nextafter(Q_TAIL, np.inf), 40.0]])
+        assert np.nextafter(Q_TAIL, np.inf) < boundary_x_c(y)
+        k, l = eval_w_batch(xs, y)
+        want = np.array([k, l]).T.view(np.uint64)
+        got = np.array([eval_w(float(x), y) for x in xs]).view(np.uint64)
+        assert np.array_equal(got, want)
 
 
 def test_derivative_relation():
