@@ -96,9 +96,9 @@ def test_rejects_nonfinite(bad):
         dawson_cf(bad, 61)
 
 
-def test_array_matches_scalar_at_every_depth():
-    # the array fraction against the scalar evaluator's float loop, at
-    # every depth up to the 1e-100 tables' 344
+def test_per_point_depth_matches_scalar_depth_bitwise():
+    # the array fraction, one depth per call, against the scalar evaluator's
+    # float loop point by point, at every depth up to the 1e-100 tables' 344
     rng = np.random.default_rng(7)
     xs = rng.uniform(-25, 25, 8)
     for n in range(1, 345):
@@ -108,17 +108,21 @@ def test_array_matches_scalar_at_every_depth():
     # a 2-D and an empty call
     assert np.array_equal(dawson_cf(xs.reshape(2, 4), 61).ravel(), dawson_cf(xs, 61))
     assert dawson_cf(np.empty(0), 61).shape == (0,)
+
+
+def test_huge_x_per_point_depths():
     # x past x_big, where the fraction gives way to 1/(2x), with each
     # depth's own x_big and its neighbours, next to points that stay inside
-    big_n = [1, 2, 61, 150, 344]
-    for n in big_n:
+    for n in [1, 2, 9, 17, 54, 61, 150, 344]:
         x_big = 6.3e153 / np.sqrt(n)
-        xs = np.array([x_big, np.nextafter(x_big, 0), np.nextafter(x_big, np.inf), 3e153, 1e300, 1.0, 0.0])
+        xs = np.array([x_big, np.nextafter(x_big, 0), np.nextafter(x_big, np.inf),
+                       3e153, 4e152, 1e153, 1e300, np.finfo(float).max, 1.0, 5.0, 22.0, 0.0])
         xs = np.concatenate([xs, -xs])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d = dawson_cf(xs, n)
-        assert [_dawson_point(float(x), n) for x in xs] == d.tolist(), n
+            for x, got in zip(xs.tolist(), d.tolist()):
+                assert got == dawson_cf(x, n) == _dawson_point(x, n), (x, n)
 
 
 def test_rejects_bad_per_point_depth():
