@@ -40,9 +40,6 @@ from .taylor import Y_MAX
 
 _EXIT_DOMAIN = 2
 
-# how `eval` names the evaluator point_branch reports, with its depth or bin
-_EVALUATOR_LINE = {"dawson_cf": "dawson_depth", "laplace_w": "laplace_depth", "q_bin": "dawson_bin"}
-
 
 def _fmt(v):
     # shortest decimal that round-trips to the same double
@@ -90,7 +87,7 @@ def cmd_eval(args):
     print("N, N_D, N_C = {}, {}, {}".format(*select_params(args.y)))
     branch, evaluator, n = point_branch(args.x, args.y)
     print(f"branch = {branch}")
-    print(f"{_EVALUATOR_LINE[evaluator]} = {n}")
+    print(f"{evaluator} = {n}")
     return 0
 
 

@@ -97,25 +97,41 @@ def dawson_cf(x, n_d):
     x = np.asarray(x, dtype=np.float64)
     x_big = 6.3e153 / math.sqrt(n_d)  # below it 4 n_d x^2 < 1.6e308 stays finite
     if -x_big < x.min(initial=0.0) and x.max(initial=0.0) < x_big:
-        out = _fraction(x, n_d)
+        out = _fraction_array(x, n_d)
     else:
         if not np.all(np.isfinite(x)):
             raise ValueError("dawson_cf requires finite x")
         big = np.abs(x) >= x_big
-        inner = _fraction(np.where(big, 0.0, x), n_d)
+        inner = _fraction_array(np.where(big, 0.0, x), n_d)
         out = np.where(big, 0.5 / np.where(big, x, 1.0), inner)
     return out if out.ndim else float(out)
 
 
 def _fraction(x, n):
-    """The depth-n fraction at a float or an array x with 4n x^2 finite.
-
-    The same operations in the same order on floats and on arrays, so
-    one point gives the same bits either way.
-    """
+    """The depth-n fraction at one float x with 4n x^2 finite."""
     x2 = x * x
     tx2 = 2.0 * x2
     t = (2 * n + 1) + tx2
     for k in range(n, 0, -1):  # t >= 0.6 (1 + 2x^2) > 0 at every level
         t = (2 * k - 1) + tx2 - (4 * k) * x2 / t
     return x / t
+
+
+def _fraction_array(x, n):
+    """`_fraction` over an array x, in place in one work buffer.
+
+    The same operations in the same order, so each point gets the same
+    bits as `_fraction` gives it alone.
+    """
+    xs = x.ravel()
+    x2, tx2, t, s = np.empty((4, xs.size))
+    np.multiply(xs, xs, x2)
+    np.multiply(2.0, x2, tx2)
+    np.add(2 * n + 1, tx2, t)
+    for k in range(n, 0, -1):
+        # t = (2k - 1) + 2x^2 - 4k x^2 / t
+        np.multiply(4 * k, x2, s)
+        np.divide(s, t, t)
+        np.add(2 * k - 1, tx2, s)
+        np.subtract(s, t, t)
+    return (xs / t).reshape(x.shape)

@@ -37,29 +37,38 @@ def ref_dawson(x, dps=_BASE_DPS):
         return mp.sqrt(mp.pi) / 2 * mp.exp(-xm * xm) * mp.erfi(xm)
 
 
-def dawson_q_table(bins=range(70), degree=11, width=0.25, dps=60):
+# dawson_q_table: the degree of each bin's polynomial, and the working
+# precision of its solve
+_Q_DEGREE = 11
+_Q_DPS = 60
+
+
+def dawson_q_table(bins=range(70)):
     """Bin polynomials for Q(x) = D(x)/x, as `voigtw.dawson` stores them.
 
-    Bin i covers [i, i + 1) * width.  Its polynomial interpolates Q at the
-    degree + 1 Chebyshev nodes of the bin, solved for monomials in
-    t = x - (i + 1/2) * width in multiprecision and only then rounded to
-    doubles.  The Vandermonde system is ill-conditioned: at 40 digits a
-    few high-degree coefficients still round differently, from 60 on the
-    table no longer changes (checked at 80 and 100).
-    Returns a float64 array of shape (degree + 1, len(bins)),
-    degree-major: row k holds the t^k coefficient of each bin.
+    Bin i covers [i, i + 1) / 4, the bin layout `voigtw.dawson` reads.
+    Its polynomial interpolates Q at the 12 Chebyshev nodes of the bin,
+    solved for the degree-11 monomials in t = x - (i + 1/2) / 4 in
+    multiprecision and only then rounded to doubles.  The Vandermonde
+    system is ill-conditioned: at 40 digits a few high-degree
+    coefficients still round differently, from 60 on the table no longer
+    changes (checked at 80 and 100).
+    Returns a float64 array of shape (12, len(bins)), degree-major: row k
+    holds the t^k coefficient of each bin.
     """
     import numpy as np
 
-    n = degree + 1
+    from .dawson import _BINS_PER_UNIT
+
+    n = _Q_DEGREE + 1
     table = np.empty((n, len(bins)))
-    with mp.workdps(dps):
-        h = mp.mpf(width) / 2
+    with mp.workdps(_Q_DPS):
+        h = 1 / mp.mpf(2 * _BINS_PER_UNIT)
         t = [h * mp.cos(mp.pi * (j + mp.mpf(1) / 2) / n) for j in range(n)]
         vandermonde = mp.matrix([[tj**k for k in range(n)] for tj in t])
         for col, i in enumerate(bins):
             x = [(2 * i + 1) * h + tj for tj in t]
-            q = mp.matrix([ref_dawson(xj, dps) / xj for xj in x])
+            q = mp.matrix([ref_dawson(xj, _Q_DPS) / xj for xj in x])
             table[:, col] = [float(c) for c in mp.lu_solve(vandermonde, q)]
     return table
 

@@ -241,13 +241,13 @@ def _point_plan(x, y):
         raise ValueError("x must be finite")
     ax = abs(x)
     if y == 0.0:
-        return "axis", "dawson_cf", params.n_d, x, y, fold
+        return "axis", "dawson_depth", params.n_d, x, y, fold
     if ax < x_c:
         if ax < Q_TAIL:
-            return "internal", "q_bin", q_bin(ax), x, y, fold
-        return "internal", "dawson_cf", TAIL_DEPTH, x, y, fold
+            return "internal", "dawson_bin", q_bin(ax), x, y, fold
+        return "internal", "dawson_depth", TAIL_DEPTH, x, y, fold
     r = min(np.hypot(ax, y), _EXT_R_MAX)
-    return "external", "laplace_w", _EXT_DEPTH_LIST[int(r * _EXT_BINS_PER_UNIT)], x, y, fold
+    return "external", "laplace_depth", _EXT_DEPTH_LIST[int(r * _EXT_BINS_PER_UNIT)], x, y, fold
 
 
 def _dawson_point(x, n):
@@ -268,11 +268,12 @@ def _laplace_point(z, n):
 def point_branch(x, y):
     """The branch eval_w(x, y) takes, and the evaluator it runs there.
 
-    Returns (branch, evaluator, n): ("axis", "dawson_cf", N_D) at y = 0;
-    inside the computing boundary ("internal", "q_bin", i) when D(x)/x
-    comes from bin i of the Dawson polynomials and ("internal",
-    "dawson_cf", 8) past their last bin; ("external", "laplace_w", depth)
-    outside it.  Rejects what eval_w rejects, with the same errors.
+    Returns (branch, evaluator, n), the evaluator named as `voigtw eval`
+    prints it: ("axis", "dawson_depth", N_D) at y = 0; inside the
+    computing boundary ("internal", "dawson_bin", i) when D(x)/x comes
+    from bin i of the Dawson polynomials and ("internal", "dawson_depth",
+    8) past their last bin; ("external", "laplace_depth", depth) outside
+    it.  Rejects what eval_w rejects, with the same errors.
     """
     return _point_plan(x, y)[:3]
 
@@ -288,7 +289,7 @@ def eval_w(x, y):
         k = np.exp(-np.square(min(ax, 30.0)))
         l = _TWO_OVER_SQRT_PI * _dawson_point(ax, n)
     elif branch == "internal":
-        q = q_point(ax, n) if evaluator == "q_bin" else _dawson_point(ax, n) / ax
+        q = q_point(ax, n) if evaluator == "dawson_bin" else _dawson_point(ax, n) / ax
         k, l = series_w(fold, ax, q)
     else:
         w = _laplace_point(complex(ax, y), n)

@@ -111,13 +111,13 @@ def test_split_at_x_c_is_the_hypot_rule(y):
 
 
 def test_point_branch_reports_the_depth_used():
-    assert point_branch(-3.0, 0.0) == ("axis", "dawson_cf", 61)
+    assert point_branch(-3.0, 0.0) == ("axis", "dawson_depth", 61)
     # inside z_c: the Dawson polynomial's bin, or past the last bin the fraction
-    assert point_branch(-1.0, 0.05) == ("internal", "q_bin", 4)
-    assert point_branch(0.0, 0.05) == ("internal", "q_bin", 0)
-    assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "q_bin", 69)
-    assert point_branch(17.5, 1e-300) == ("internal", "dawson_cf", TAIL_DEPTH)
-    assert point_branch(30.0, 0.01) == ("external", "laplace_w", external_depth(np.hypot(30.0, 0.01)))
+    assert point_branch(-1.0, 0.05) == ("internal", "dawson_bin", 4)
+    assert point_branch(0.0, 0.05) == ("internal", "dawson_bin", 0)
+    assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "dawson_bin", 69)
+    assert point_branch(17.5, 1e-300) == ("internal", "dawson_depth", TAIL_DEPTH)
+    assert point_branch(30.0, 0.01) == ("external", "laplace_depth", external_depth(np.hypot(30.0, 0.01)))
 
 
 @pytest.mark.parametrize("y", [0.0, 1e-3])
