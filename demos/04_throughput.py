@@ -8,9 +8,9 @@ The batch path folds the per-y series coefficients once for the whole
 array, evaluates the internal points with the Taylor series, reading
 D(x)/x from one polynomial per 1/4-wide bin of x, and evaluates all
 external points in one Laplace continued-fraction call with one depth
-per point.  Results are bit-identical to pointwise evaluation.  The
-printed rate depends on the machine; perfbench/ holds the benchmark and
-its measured numbers.
+per point, taken from |x|.  Results are bit-identical to pointwise
+evaluation.  The printed rate depends on the machine; perfbench/ holds
+the benchmark and its measured numbers.
 """
 
 import time

@@ -125,9 +125,10 @@ def cmd_errmap(args):
 def bench_points(y, domain, count, seed):
     """Seeded log-uniform x sample for one bench domain.
 
-    Internal points satisfy |z| < z_c(y), external z_c(y) <= |z| <= 4000,
-    with |z| = hypot(x, y) as the dispatcher computes it.  At y = 0 every
-    point takes the series: internal spans [1e-6, 4000], external is an error.
+    Internal points lie in [1e-6, x_c(y)) and external ones in
+    [x_c(y), sqrt(4000^2 - y^2)], split at x_c(y) as the dispatcher splits
+    them, so external points have |z| <= 4000.  At y = 0 every point takes
+    the series: internal spans [1e-6, 4000], external is an error.
     """
     rng = np.random.default_rng(seed)
     x_max = math.sqrt(4000.0**2 - y * y)

@@ -43,19 +43,19 @@ def deepest_first(n, shape, name):
     lo, top = (int(depth.min()), int(depth.max())) if depth.size else (1, 1)
     if lo < 1:
         raise ValueError(f"{name} must be a positive integer, got {n}")
-    if lo == top:  # one depth: no bincount or sort
+    if lo == top:  # one depth: no sort
         return None, top, {top: math.prod(shape)}
-    counts = np.bincount(depth.ravel()).tolist()  # counts[d]: points of depth d
     # a small unsigned key, complemented so that ascending is deepest
     # first: numpy's stable sort on it is a radix sort, and the order comes
     # out contiguous, which keeps the gather and the scatter back cheap
     key = ~depth.ravel().astype(np.min_scalar_type(top), copy=False)
     order = np.argsort(key, kind="stable")
+    # the points of depth >= k lead the order: find where they end in the sorted keys
+    ends = np.searchsorted(key, ~np.arange(top, 0, -1, dtype=key.dtype), "right", order).tolist()
     joins, m = {}, 0
-    for k in range(top, 0, -1):
-        if counts[k]:
-            m += counts[k]
-            joins[k] = m
+    for k, end in zip(range(top, 0, -1), ends):
+        if end > m:
+            joins[k] = m = end
     return order, top, joins
 
 

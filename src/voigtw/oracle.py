@@ -5,25 +5,32 @@ Two mutually independent routes are provided:
 * ``ref_w`` -- the closed form w(z) = exp(-z^2) erfc(-iz) in adaptive
   multiprecision arithmetic.  For small y the real and imaginary parts of
   w differ by up to ~100 orders of magnitude and emerge from cancellation
-  in the product, so the working precision is raised until the smaller
-  component carries at least ~35 correct digits.
+  in the product, and exp(-z^2) loses 2 log10|z| digits to the rounding
+  of z^2, so the working precision is raised until the smaller component
+  carries at least ~35 correct digits.
 * ``quad_w`` -- direct quadrature of the defining damped-oscillatory
   integrals over t, split at oscillation half-periods.
 
 Axis cases use analytic closed forms (K(x,0) = exp(-x^2), L(x,0) =
 2 D(x)/sqrt(pi), K(0,y) = exp(y^2) erfc(y), L(0,y) = 0).
 
+`dawson_q_table` and `laplace_depth_steps` derive the evaluator's Dawson
+polynomials and its far-field Laplace depths from the reference.
+
 Nothing in here is ever used on the production evaluation path.
 """
 
+import math
 from typing import NamedTuple
 
 import mpmath as mp
 
 _BASE_DPS = 40
-# Hard ceiling on the escalated working precision: enough for a small
-# component ~950 orders of magnitude below the large one.
-_MAX_DPS = 1000
+# Hard ceiling on the escalated working precision: enough for every point
+# the evaluator accepts, where exp(-z^2) costs up to 617 digits at
+# |z| = 1.8e308 and the small component lies up to 632 orders of
+# magnitude below the large one.
+_MAX_DPS = 1400
 
 
 class OracleError(Exception):
@@ -73,6 +80,52 @@ def dawson_q_table(bins=range(70)):
     return table
 
 
+# laplace_depth_steps: the truncation error a step's depth may leave, a
+# 256th of the half ulp its double result is rounded to; the y at which
+# it is measured (below about 1e-3 that error no longer depends on y, so
+# 1e-8 stands for every smaller y); and the radii per step
+_STEP_ERROR = mp.mpf(2) ** -61
+_STEP_YS = (1e-8, 0.1)
+_STEP_RADII = 32
+# the deepest fraction the paper tabulates (N_C at 1e-100)
+_STEP_MAX_DEPTH = 65
+
+
+def laplace_depth_steps(edges):
+    """Least Laplace depth for each step of a far-field depth profile.
+
+    Step i covers |x| in [edges[i], edges[i + 1]).  Its depth is the least
+    n at which the depth-n Laplace fraction, evaluated in multiprecision,
+    is within 2^-61 of `ref_w` in each component relative to that
+    component, at every x of a log-spaced grid over the step (the left
+    edge included) and at y = 1e-8 and 0.1.  Meant for the far field:
+    nearer z_c(y) the depth a point needs depends on y, and those steps
+    were calibrated on |z|.  Returns a list of len(edges) - 1 depths.
+    """
+    depths = []
+    for lo, hi in zip(edges, edges[1:]):
+        xs = [float(lo * (hi / lo) ** (j / _STEP_RADII)) for j in range(_STEP_RADII)]
+        points = [(x, y, ref_w(x, y)) for x in xs for y in _STEP_YS]
+        n = 1
+        while any(_laplace_error(x, y, n, ref) > _STEP_ERROR for x, y, ref in points):
+            n += 1
+            if n > _STEP_MAX_DEPTH:
+                raise OracleError(f"no depth up to {_STEP_MAX_DEPTH} meets the step [{lo}, {hi})")
+        depths.append(n)
+    return depths
+
+
+def _laplace_error(x, y, n, ref):
+    """Componentwise relative error of the depth-n fraction at x + iy vs ref."""
+    with mp.workdps(_BASE_DPS):
+        z = mp.mpc(x, y)
+        t = z
+        for k in range(n, 0, -1):
+            t = z - mp.mpf(k) / 2 / t
+        w = mp.mpc(0, 1) / (mp.sqrt(mp.pi) * t)
+        return max(abs(w.real - ref.real) / abs(ref.real), abs(w.imag - ref.imag) / abs(ref.imag))
+
+
 def ref_erfcx(y, dps=_BASE_DPS):
     """High-precision scaled complementary error function exp(y^2) erfc(y)."""
     with mp.workdps(dps):
@@ -103,10 +156,14 @@ def ref_w(x, y):
         with mp.workdps(_BASE_DPS):
             return mp.mpc(ref_erfcx(y), 0)
 
+    # exp(-z^2) turns the absolute rounding error of z^2, |z|^2 10^-dps,
+    # into a relative error of both components: 2 log10|z| digits are lost
+    # before any cancellation between them.
+    lost = 2 * math.log10(max(math.hypot(ax, y), 1.0))
     # Each round either certifies >= _BASE_DPS digits in the small
     # component or raises dps past the measured deficit, so dps grows
     # strictly until the small component is resolved or the ceiling hit.
-    dps = _BASE_DPS
+    dps = int(_BASE_DPS + lost)
     while dps <= _MAX_DPS:
         w = _w_closed_form(ax, y, dps)
         with mp.workdps(dps):
@@ -115,7 +172,7 @@ def ref_w(x, y):
             if small == 0:
                 dps = 2 * dps + 60
                 continue
-            deficit = mp.log10(big / small)
+            deficit = mp.log10(big / small) + lost
             if dps >= _BASE_DPS + deficit:
                 return mp.mpc(w.real, sign * w.imag)
             dps = int(_BASE_DPS + 10 + deficit)

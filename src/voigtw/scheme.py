@@ -5,8 +5,8 @@ truncation parameters are selected from the calibrated per-y bands, and
 the point is dispatched by |z| against the computing boundary z_c(y): the
 Taylor series inside, the Laplace continued fraction outside.  Dispatch
 compares x with x_c(y), the first x whose hypot(x, y) reaches z_c(y)
-(`boundary_x_c`), so the branch is the one |z| < z_c(y) picks while |z|
-is computed only for the external points, which need it for their depth.
+(`boundary_x_c`), so the branch is the one |z| < z_c(y) picks without a
+|z| per point.
 A batch whose points all take one branch passes its array to that branch
 whole; only a mixed batch gathers each branch's points and scatters the
 results back.  The series reads D(x)/x from the bin polynomials of
@@ -21,19 +21,19 @@ on Python floats, as IEEE + - * / round alike on floats and arrays and
 neither side fuses a multiply with an add.  The rest stays numpy's,
 where Python rounds differently from the ufuncs:
 `np.exp` (`math.exp` differs on about 4% of arguments in [-745, 0], an
-AVX-512 build), `np.hypot` (`math.hypot` on about 0.6% of random pairs
-of like size) and complex128 scalars for the Laplace fraction (Python's
+AVX-512 build) and complex128 scalars for the Laplace fraction (Python's
 `complex` division on about two of five random quotients).
 
-The external depth deserves a note.  The tabulated N_C values are tuned
-for the fixed |z| >= 22 split; close to z_c(y) the fraction needs more
-levels (about 19 at |z| ~ 6.65, falling to 6 by |z| ~ 20).  That profile
-was calibrated against the high-accuracy oracle on a dense radius grid
-and is applied per point as a step function of |z|, looked up in
-half-unit bins (`external_depth`).  Its last step is the tabulated
-N_C = 6, so no floor is needed.  The whole external branch
-is one Laplace fraction call with one depth per point, so batch and
-scalar evaluation agree bit for bit.
+The external depth deserves a note.  Close to z_c(y) the fraction needs
+more levels than the paper's N_C = 6 (about 19 at |z| ~ 6.65, falling to
+6 by |z| ~ 20), and far from it fewer (5 from 52 on, down to 1 from
+49152).  That profile was calibrated against the high-accuracy oracle on
+dense radius grids and is applied per point as a step function of |x|,
+looked up in 16-per-octave bins keyed by the bits of the float
+(`external_depth`).  |x| <= |z| and the profile never rises, so a point
+gets at least the depth its |z| needs, with no hypot per point.  The
+whole external branch is one Laplace fraction call with one depth per
+point, so batch and scalar evaluation agree bit for bit.
 
 The evaluator runs at the one accuracy level float64 can meet, 1e-16.
 The paper's tables for the other levels are kept as data: `boundary_z_c`
@@ -41,6 +41,7 @@ and `select_params` still look them up by level.
 """
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -101,19 +102,25 @@ _PARAM_BANDS = {
     ),
 }
 
-# Oracle-calibrated continued-fraction depth needed to reach the double
-# precision floor, as a step function of |z|: depth i below edge i and
-# from edge i - 1 on.  The edges lie on a half-unit grid, so the profile
-# is looked up in bins of width 1/2: bin j holds |z| in [j, j + 1)/2, the
-# last bin every |z| from the last edge on.
+# Oracle-calibrated continued-fraction depth reaching the double precision
+# floor, as a step function of the radius: depth i below edge i and from
+# edge i - 1 on.  The steps up to 22, where the paper's N_C = 6 takes
+# over, were calibrated on |z|; a point takes its depth at |x| <= |z|,
+# which is at least the depth at |z| as the depth never rises with the
+# radius.  The steps from 52 on are `oracle.laplace_depth_steps`: each
+# edge is the first grid radius from which the next lower depth keeps the
+# fraction's truncation error within 2^-61.  Every edge has at most four
+# significand bits, so the profile is looked up in bins of 16 per octave
+# keyed by the top 16 bits of a radius >= 0, its exponent and the first
+# four bits of its significand: bin j holds the radii whose key is j, the
+# last bin every radius from the last edge on.
 _EXT_DEPTH_EDGES = np.array(
-    [7.0, 7.5, 8.0, 8.5, 9.0, 9.5, 10.0, 11.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0]
+    [7.0, 7.5, 8.0, 8.5, 9.0, 9.5, 10.0, 11.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0,
+     52.0, 100.0, 288.0, 1536.0, 49152.0]
 )
-_EXT_DEPTHS = np.array([21, 19, 17, 16, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6])
-_EXT_BINS_PER_UNIT = 2
-_ext_bins = (_EXT_DEPTH_EDGES * _EXT_BINS_PER_UNIT).astype(int).tolist()
-_EXT_BIN_DEPTH = np.repeat(_EXT_DEPTHS, np.diff([0, *_ext_bins, _ext_bins[-1] + 1]))
-_EXT_R_MAX = (_EXT_BIN_DEPTH.size - 1) / _EXT_BINS_PER_UNIT
+_EXT_DEPTHS = np.array([21, 19, 17, 16, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6, 5, 4, 3, 2, 1])
+_ext_keys = (_EXT_DEPTH_EDGES.view(np.int64) >> 48).tolist()
+_EXT_BIN_DEPTH = np.repeat(_EXT_DEPTHS, np.diff([0, *_ext_keys, _ext_keys[-1] + 1])).astype(np.int8)
 
 
 def boundary_z_c(y, level=1e-16):
@@ -163,12 +170,12 @@ def select_params(y, level=1e-16):
 def external_depth(r):
     """Per-point Laplace depth reaching the double-precision floor at radius r >= 0.
 
-    Returns an int for a scalar r, else an array of r's shape.  The bin
-    width is a power of two, so r * 2 is exact and each bin decision is
-    the one the edges make; NaN takes the last step.
+    Returns an int for a scalar r, else an int8 array of r's shape.  Every
+    edge lies on the bin grid, so each bin decision is the one the edges
+    make; inf takes the last step.
     """
-    r = np.fmin(np.asarray(r, dtype=np.float64), _EXT_R_MAX)
-    out = _EXT_BIN_DEPTH.take((r * _EXT_BINS_PER_UNIT).astype(np.intp))
+    key = np.asarray(r, dtype=np.float64).view(np.int64) >> 48
+    out = _EXT_BIN_DEPTH.take(key, mode="clip")
     return out if out.ndim else int(out)
 
 
@@ -215,12 +222,13 @@ def eval_w_batch(xs, y):
 
 
 def _external(ax, y):
-    """The Laplace fraction at x = ax >= 0, each point at the depth its |z| needs."""
-    return laplace_w(ax + 1j * y, external_depth(np.hypot(ax, y)))
+    """The Laplace fraction at x = ax >= 0, each point at the depth its |x| needs."""
+    return laplace_w(ax + 1j * y, external_depth(ax))
 
 
-# the step profile as a list, for one point's depth without a numpy call
-_EXT_DEPTH_LIST = _EXT_BIN_DEPTH.tolist()
+# the step profile as lists, for one point's depth without a numpy call
+_EXT_EDGE_LIST = _EXT_DEPTH_EDGES.tolist()
+_EXT_DEPTH_LIST = _EXT_DEPTHS.tolist()
 
 
 @lru_cache(maxsize=128)
@@ -246,8 +254,7 @@ def _point_plan(x, y):
         if ax < Q_TAIL:
             return "internal", "dawson_bin", q_bin(ax), x, y, fold
         return "internal", "dawson_depth", TAIL_DEPTH, x, y, fold
-    r = min(np.hypot(ax, y), _EXT_R_MAX)
-    return "external", "laplace_depth", _EXT_DEPTH_LIST[int(r * _EXT_BINS_PER_UNIT)], x, y, fold
+    return "external", "laplace_depth", _EXT_DEPTH_LIST[bisect_right(_EXT_EDGE_LIST, ax)], x, y, fold
 
 
 def _dawson_point(x, n):

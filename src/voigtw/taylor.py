@@ -175,7 +175,8 @@ def eval_w_internal(x, y, params):
     polynomials or, past Q_TAIL, the depth-8 fraction, so params.n_d is
     not used here.  Q is even, so a negative x reads Q at |x|, and K
     comes out even and L odd.  Returns floats for a scalar x, else
-    arrays of x's shape.
+    arrays of x's shape.  Defined for |x| < 1.34e154, beyond which x^2
+    overflows; the dispatcher sends it only |x| < x_c(y), at most 81.3.
     """
     c = cached_y_coefficients(float(y), params)
     x = np.asarray(x, dtype=np.float64)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from voigtw.laplace import laplace_rel_error, laplace_w
+from voigtw.laplace import deepest_first, laplace_rel_error, laplace_w
 from voigtw.oracle import ref_w
 from voigtw.scheme import _laplace_point, boundary_z_c, external_depth
 
@@ -70,6 +70,23 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
     for i in range(0, zs.size, 97):
         assert laplace_w(complex(zs[i]), int(depths[i])) == w[i]
     assert laplace_w(np.empty(0, dtype=complex), np.empty(0, dtype=int)).shape == (0,)
+
+
+def test_deepest_first_joins_match_bincount():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        top = int(rng.integers(1, 300))
+        size = int(rng.integers(1, 60))
+        depth = rng.choice(rng.integers(1, top + 1, rng.integers(1, 6)), size)
+        order, deepest, joins = deepest_first(depth, depth.shape, "n")
+        counts, want, m = np.bincount(depth), {}, 0
+        for k in range(depth.max(), 0, -1):
+            if counts[k]:
+                m += counts[k]
+                want[k] = m
+        assert deepest == depth.max() and joins == want
+        if order is not None:
+            assert np.all(np.diff(depth[order]) <= 0)
 
 
 class TestRelError:

@@ -7,10 +7,12 @@ import pytest
 from conftest import rel_err
 from voigtw import oracle
 from voigtw.laplace import laplace_w
+from voigtw.scheme import _EXT_DEPTH_EDGES, _EXT_DEPTHS
 from voigtw.oracle import (
     ErrorReport,
     OracleError,
     _w_closed_form,
+    laplace_depth_steps,
     quad_w,
     ref_dawson,
     ref_erfcx,
@@ -57,6 +59,18 @@ class TestRefW:
             assert abs(w.real - r.real) <= mp.mpf("1e-35") * abs(r.real)
             assert abs(w.imag - r.imag) <= mp.mpf("1e-35") * abs(r.imag)
 
+    def test_huge_x(self):
+        # exp(-z^2) erfc(-iz) loses 2 log10|z| digits to the rounding of z^2:
+        # at 106 digits both components came out wrong by 7.4e-5; far out
+        # w = i/(sqrt(pi) z) to about 1e-110
+        x, y = 3.454e54, 8.597e-3
+        w = ref_w(x, y)
+        with mp.workdps(60):
+            z = mp.mpc(x, y)
+            a = 1j / (mp.sqrt(mp.pi) * z)
+            assert abs(w.real - a.real) <= mp.mpf("1e-35") * abs(a.real)
+            assert abs(w.imag - a.imag) <= mp.mpf("1e-35") * abs(a.imag)
+
     def test_precision_ceiling_raises(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_DPS", 150)
         with pytest.raises(OracleError):
@@ -65,6 +79,15 @@ class TestRefW:
     def test_rejects_y_outside(self):
         with pytest.raises(ValueError):
             ref_w(1, 0.2)
+
+
+def test_laplace_depth_steps_reproduce_the_profile():
+    # two far-field steps of the committed profile, each with the grid
+    # radius just below its left edge, where one more level is needed
+    for i in (15, 17):  # the steps [52, 100) and [288, 1536)
+        lo, hi = _EXT_DEPTH_EDGES[i - 1], _EXT_DEPTH_EDGES[i]
+        below = lo - 2.0 ** (math.floor(math.log2(lo)) - 4)
+        assert laplace_depth_steps([below, lo, hi]) == [_EXT_DEPTHS[i] + 1, _EXT_DEPTHS[i]]
 
 
 class TestQuadW:

@@ -105,7 +105,7 @@ def test_split_at_x_c_is_the_hypot_rule(y):
         if inside:
             want = eval_w_internal(float(x), y, params)
         else:
-            w = laplace_w(complex(x, y), external_depth(np.hypot(x, y)))
+            w = laplace_w(complex(x, y), external_depth(x))
             want = (w.real, w.imag)
         assert (kb, lb) == tuple(want), (x, y)
 
@@ -117,7 +117,9 @@ def test_point_branch_reports_the_depth_used():
     assert point_branch(0.0, 0.05) == ("internal", "dawson_bin", 0)
     assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "dawson_bin", 69)
     assert point_branch(17.5, 1e-300) == ("internal", "dawson_depth", TAIL_DEPTH)
-    assert point_branch(30.0, 0.01) == ("external", "laplace_depth", external_depth(np.hypot(30.0, 0.01)))
+    # outside it, the depth at |x|
+    assert point_branch(30.0, 0.01) == ("external", "laplace_depth", 6)
+    assert point_branch(-1e300, 1e-300) == ("external", "laplace_depth", 1)
 
 
 @pytest.mark.parametrize("y", [0.0, 1e-3])
@@ -167,15 +169,43 @@ def test_y_record_is_bounded():
 def test_external_depth_steps():
     assert external_depth(6.7) == 21
     assert external_depth(25.0) == 6
-    # the uniform-bin lookup takes the step searchsorted takes on the edges,
+    assert external_depth(60.0) == 5
+    # the log-bin lookup takes the step searchsorted takes on the edges,
     # at every edge and its neighbours and beyond the last one
     e = _EXT_DEPTH_EDGES
-    r = np.concatenate([e, np.nextafter(e, 0), np.nextafter(e, np.inf), [0.0, 6.6, 40.0, 1e300, np.inf]])
+    r = np.concatenate(
+        [e, np.nextafter(e, 0), np.nextafter(e, np.inf), [0.0, 5e-324, 6.6, 40.0, 1e5, 1e300, np.inf]]
+    )
     assert np.array_equal(external_depth(r), _EXT_DEPTHS[np.searchsorted(e, r, side="right")])
     assert [external_depth(float(v)) for v in r] == external_depth(r).tolist()
-    assert np.all(np.diff(external_depth(np.linspace(6.7, 40, 50))) <= 0)
-    # the profile never falls below the tabulated N_C, so it needs no floor
-    assert all(n_c <= _EXT_DEPTHS.min() for *_, n_c in _PARAM_BANDS[1e-16])
+    # the profile never rises, so the depth at |x| is at least the depth at |z|
+    xs = np.r_[0.0, np.geomspace(1e-300, 1e300, 20001)]
+    depth = external_depth(xs)
+    assert np.all(np.diff(depth) <= 0)
+    for y in (5e-324, 1e-8, 1e-3, 0.1):
+        assert np.all(depth >= external_depth(np.hypot(xs, y)))
+
+
+@pytest.mark.parametrize("step", range(15, len(_EXT_DEPTHS)))
+def test_far_field_step_is_as_accurate_as_n_c(step):
+    # seeded external points over one far-field step, y log-uniform on
+    # [1e-300, 0.1]: at the step's depth their worst and mean K and L errors
+    # against the oracle are no worse than at the paper's N_C = 6
+    lo = _EXT_DEPTH_EDGES[step - 1]
+    hi = _EXT_DEPTH_EDGES[step] if step < _EXT_DEPTH_EDGES.size else 1e300
+    rng = np.random.default_rng(step)
+    errors = []
+    for _ in range(30):
+        y = math.exp(rng.uniform(math.log(1e-300), math.log(0.1)))
+        x = math.exp(rng.uniform(math.log(max(lo, boundary_x_c(y))), math.log(hi)))
+        assert point_branch(x, y) == ("external", "laplace_depth", _EXT_DEPTHS[step])
+        k, l = eval_w(x, y)
+        w = laplace_w(complex(x, y), 6)
+        ref = ref_w(x, y)
+        # far out at tiny y, K underflows to 0 at either depth
+        errors.append([rel_err(k, ref.real), rel_err(l, ref.imag), rel_err(w.real, ref.real), rel_err(w.imag, ref.imag)])
+    worst, mean = np.max(errors, axis=0), np.mean(errors, axis=0)
+    assert np.all(worst[:2] <= worst[2:]) and np.all(mean[:2] <= mean[2:])
 
 
 def test_evaluators_take_only_x_and_y():
@@ -251,15 +281,19 @@ class TestBatch:
                 assert ks == kb[i] and ls == lb[i], (x, y)
         # one x in the middle of every external depth band, all in one
         # batch, so the radius profile sets a different depth per point;
-        # the lowest band starts at z_c(0.1)
-        edges = np.r_[boundary_z_c(0.1, 1e-16), _EXT_DEPTH_EDGES, 30.0]
+        # the lowest band starts at z_c(0.1), the last one is closed at 1e5
+        edges = np.r_[boundary_z_c(0.1, 1e-16), _EXT_DEPTH_EDGES, 1e5]
         xs = (edges[:-1] + edges[1:]) / 2
         assert np.array_equal(external_depth(xs), _EXT_DEPTHS)
-        for y in (1e-8, 0.05, 0.1):
-            kb, lb = eval_w_batch(xs, y)
-            for i, x in enumerate(xs):
-                ks, ls = eval_w(float(x), y)
-                assert ks == kb[i] and ls == lb[i], (x, y)
+        # then every edge and its neighbours, where the batch's bins and the
+        # scalar's bisection of the edges must take the same step
+        e = _EXT_DEPTH_EDGES
+        for xs in (xs, np.r_[e, np.nextafter(e, 0), np.nextafter(e, np.inf)]):
+            for y in (1e-300, 1e-8, 0.05, 0.1):
+                kb, lb = eval_w_batch(np.r_[xs, -xs], y)
+                for i, x in enumerate(np.r_[xs, -xs]):
+                    ks, ls = eval_w(float(x), y)
+                    assert ks == kb[i] and ls == lb[i], (x, y)
         # x_c(y) and its neighbours in a mixed batch, then one batch all
         # inside and one all outside, which skip the gather and scatter
         for y in (5e-324, 1e-30, 1e-8, 0.05, 0.1):
@@ -380,4 +414,5 @@ def test_oracle_bounds_property(x, y):
     k, l = eval_w(x, y)
     ref = ref_w(x, y)
     assert rel_err(k, ref.real) <= 5e-13, (x, y)
-    assert rel_err(l, ref.imag) <= 2e-15, (x, y)
+    # L's contract: where it is subnormal, one subnormal ulp
+    assert abs(l - ref.imag) <= max(2e-15 * abs(ref.imag), 2.0**-1074), (x, y)
