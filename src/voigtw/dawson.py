@@ -13,19 +13,21 @@ The table is package data, `dawson_q.npy`, generated from the
 multiprecision oracle by `oracle.dawson_q_table()`; it is stored
 degree-major, so each Horner step gathers one contiguous row.  4x is
 exact, and so is t from x = 1/16 on; Q stays within 1 ulp of the oracle.
+Q_TAIL = 81.5 lies past x_c(5e-324) = 81.30, the widest reach of the
+series inside the computing boundary, so the series needs no other
+evaluator.
 
-Past Q_TAIL, D(x) comes from the depth-n truncation of the continued
+The y = 0 axis takes D(x) from the depth-n truncation of the continued
 fraction
 
     D(x) ~ x / (1 + 2x^2 - 4x^2 / (3 + 2x^2 - 8x^2 / (5 + 2x^2 - ...
                                     - 4n x^2 / (2n + 1 + 2x^2))))
 
-evaluated bottom-up (innermost denominator first); depth TAIL_DEPTH
-keeps it within 3 ulp there.  The y = 0 axis runs the fraction at the
-tabulated N_D = 61.  Every partial denominator depends on x only through
-x^2, hence the fraction is exactly odd in x.  Where 4n x^2 would
-overflow, D(x) is 1/(2x) to double precision (the next term is
-1/(4x^3)) and used directly.
+evaluated bottom-up (innermost denominator first) at the tabulated
+N_D = 61.  Every partial denominator depends on x only through x^2,
+hence the fraction is exactly odd in x.  Where 4n x^2 would overflow,
+D(x) is 1/(2x) to double precision (the next term is 1/(4x^3)) and used
+directly.
 """
 
 import math
@@ -39,9 +41,8 @@ _BINS_PER_UNIT = 4
 _Q_COEFFS = np.load(os.path.join(os.path.dirname(__file__), "dawson_q.npy"))
 _Q_CENTRES = (np.arange(_Q_COEFFS.shape[1]) + 0.5) / _BINS_PER_UNIT
 
-#: The bin polynomials cover [0, Q_TAIL); the fraction at TAIL_DEPTH the rest.
+#: The bin polynomials cover [0, Q_TAIL), past x_c(y) at every y > 0.
 Q_TAIL = _Q_COEFFS.shape[1] / _BINS_PER_UNIT
-TAIL_DEPTH = 8
 
 
 def dawson_q(x):

@@ -50,10 +50,11 @@ _Q_DEGREE = 11
 _Q_DPS = 60
 
 
-def dawson_q_table(bins=range(70)):
+def dawson_q_table(bins=range(326)):
     """Bin polynomials for Q(x) = D(x)/x, as `voigtw.dawson` stores them.
 
-    Bin i covers [i, i + 1) / 4, the bin layout `voigtw.dawson` reads.
+    Bin i covers [i, i + 1) / 4, the bin layout `voigtw.dawson` reads;
+    the default 326 bins cover [0, 81.5), past x_c(5e-324) = 81.30.
     Its polynomial interpolates Q at the 12 Chebyshev nodes of the bin,
     solved for the degree-11 monomials in t = x - (i + 1/2) / 4 in
     multiprecision and only then rounded to doubles.  The Vandermonde

@@ -10,8 +10,7 @@ compares x with x_c(y), the first x whose hypot(x, y) reaches z_c(y)
 A batch whose points all take one branch passes its array to that branch
 whole; only a mixed batch gathers each branch's points and scatters the
 results back.  The series reads D(x)/x from the bin polynomials of
-`dawson.dawson_q`, or past their last bin from the depth-8 fraction; the
-tabulated N_D serves the y = 0 axis alone.
+`dawson.dawson_q`; the tabulated N_D serves the y = 0 axis alone.
 
 `eval_w` evaluates one point in scalar arithmetic, bit for bit what
 `eval_w_batch` gives for it.  Its per-y state (parameters, fold, x_c) is
@@ -46,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dawson import Q_TAIL, TAIL_DEPTH, _fraction, dawson_cf, q_bin, q_point
+from .dawson import _fraction, dawson_cf, q_bin, q_point
 from .laplace import _I_SQRT_PI, laplace_w
 from .taylor import (
     SeriesParams,
@@ -251,9 +250,7 @@ def _point_plan(x, y):
     if y == 0.0:
         return "axis", "dawson_depth", params.n_d, x, y, fold
     if ax < x_c:
-        if ax < Q_TAIL:
-            return "internal", "dawson_bin", q_bin(ax), x, y, fold
-        return "internal", "dawson_depth", TAIL_DEPTH, x, y, fold
+        return "internal", "dawson_bin", q_bin(ax), x, y, fold
     return "external", "laplace_depth", _EXT_DEPTH_LIST[bisect_right(_EXT_EDGE_LIST, ax)], x, y, fold
 
 
@@ -277,10 +274,9 @@ def point_branch(x, y):
 
     Returns (branch, evaluator, n), the evaluator named as `voigtw eval`
     prints it: ("axis", "dawson_depth", N_D) at y = 0; inside the
-    computing boundary ("internal", "dawson_bin", i) when D(x)/x comes
-    from bin i of the Dawson polynomials and ("internal", "dawson_depth",
-    8) past their last bin; ("external", "laplace_depth", depth) outside
-    it.  Rejects what eval_w rejects, with the same errors.
+    computing boundary ("internal", "dawson_bin", i), D(x)/x coming from
+    bin i of the Dawson polynomials; ("external", "laplace_depth", depth)
+    outside it.  Rejects what eval_w rejects, with the same errors.
     """
     return _point_plan(x, y)[:3]
 
@@ -290,14 +286,13 @@ def eval_w(x, y):
 
     Bit for bit eval_w_batch's result, computed in scalar arithmetic.
     """
-    branch, evaluator, n, x, y, fold = _point_plan(x, y)
+    branch, _, n, x, y, fold = _point_plan(x, y)
     ax = abs(x)
     if branch == "axis":
         k = np.exp(-np.square(min(ax, 30.0)))
         l = _TWO_OVER_SQRT_PI * _dawson_point(ax, n)
     elif branch == "internal":
-        q = q_point(ax, n) if evaluator == "dawson_bin" else _dawson_point(ax, n) / ax
-        k, l = series_w(fold, ax, q)
+        k, l = series_w(fold, ax, q_point(ax, n))
     else:
         w = _laplace_point(complex(ax, y), n)
         k, l = w.real, w.imag

@@ -10,11 +10,10 @@ plus Q(x) = D(x)/x, Dawson's integral over x, and one exp(-x^2):
 
 Q is even with Q(0) = 1, so the same sum gives K(0, y) = e^{y^2} erfc y
 and no point needs a division or a special case.  Q comes from the bin
-polynomials of `dawson.dawson_q` below Q_TAIL and from the depth-8
-Dawson fraction over x beyond it, which only y below about 1e-110
-reaches.  K and L are assembled by one function, `series_w`, which
-shares x^2, q and exp(-x^2) between them and takes floats as well as
-arrays, so the scalar evaluator (`scheme.eval_w`) runs the very
+polynomials of `dawson.dawson_q`, which cover every x inside the
+computing boundary.  K and L are assembled by one function, `series_w`,
+which shares x^2, q and exp(-x^2) between them and takes floats as well
+as arrays, so the scalar evaluator (`scheme.eval_w`) runs the very
 expressions `eval_w_internal` runs on arrays.  The fold is O(N^2)
 but x-independent, so it is shared by batch evaluation and kept in a
 bounded LRU cache keyed by (y, params), holding the 128 most recent sets.
@@ -27,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coeffs import DEFAULT_M_MAX, get_tables
-from .dawson import Q_TAIL, TAIL_DEPTH, dawson_cf, dawson_q
+from .dawson import Q_TAIL, dawson_q
 
 _ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -157,28 +156,21 @@ def series_w(c, x, q):
     return k, l
 
 
-def _dawson_q(x):
-    """Q(x) = D(x)/x at an array of x >= 0: bin polynomials, the fraction past Q_TAIL."""
-    if x.max(initial=0.0) < Q_TAIL:
-        return dawson_q(x)
-    tail = ~(x < Q_TAIL)  # NaN too, which dawson_cf rejects
-    q = dawson_q(np.where(tail, 0.0, x))
-    xt = x[tail]
-    q[tail] = dawson_cf(xt, TAIL_DEPTH) / xt
-    return q
-
-
 def eval_w_internal(x, y, params):
     """Internal-branch evaluation of (K, L) at x, 0 <= y <= 0.1.
 
     Reuses the cached coefficient fold for y; Q(x) comes from the bin
-    polynomials or, past Q_TAIL, the depth-8 fraction, so params.n_d is
-    not used here.  Q is even, so a negative x reads Q at |x|, and K
-    comes out even and L odd.  Returns floats for a scalar x, else
-    arrays of x's shape.  Defined for |x| < 1.34e154, beyond which x^2
-    overflows; the dispatcher sends it only |x| < x_c(y), at most 81.3.
+    polynomials, so params.n_d is not used here.  Q is even, so a
+    negative x reads Q at |x|, and K comes out even and L odd.  Returns
+    floats for a scalar x, else arrays of x's shape.  Defined for
+    |x| < Q_TAIL = 81.5, the extent of the bin table, which holds every
+    |x| < x_c(y) the dispatcher sends it; raises ValueError for any other
+    x, NaN included.
     """
     c = cached_y_coefficients(float(y), params)
     x = np.asarray(x, dtype=np.float64)
-    k, l = series_w(c, x, _dawson_q(np.abs(x)))
+    # min and max, not max |x|: no |x| array outlives dawson_q; NaN fails both
+    if not (-Q_TAIL < x.min(initial=0.0) and x.max(initial=0.0) < Q_TAIL):
+        raise ValueError(f"eval_w_internal requires finite |x| < {Q_TAIL}")
+    k, l = series_w(c, x, dawson_q(np.abs(x)))
     return VoigtValue(k, l) if x.ndim else VoigtValue(float(k), float(l))

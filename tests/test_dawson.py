@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dawson_maclaurin, rel_err, ulps
-from voigtw.dawson import Q_TAIL, TAIL_DEPTH, _Q_COEFFS, dawson_cf, dawson_q, q_bin, q_point
+from voigtw.dawson import Q_TAIL, _Q_COEFFS, dawson_cf, dawson_q, q_bin, q_point
 from voigtw.oracle import dawson_q_table, ref_dawson
-from voigtw.scheme import _dawson_point
-from voigtw.taylor import _dawson_q
+from voigtw.scheme import _dawson_point, boundary_x_c
+from voigtw.taylor import SeriesParams, cached_y_coefficients, eval_w_internal, series_w
 
 
 def test_zero():
@@ -146,28 +146,31 @@ def _q_ulps(xs, q):
 
 
 def test_q_within_3_ulp():
-    # a 0.0025 grid, random x, every bin edge and its neighbours, and
-    # subnormal x; past Q_TAIL the depth-8 fraction out to x = 90, past
-    # the x_c(y) of the smallest subnormal y
+    # over the whole table, [0, Q_TAIL): a 0.0025 grid up to 17.5 and a
+    # 0.01 grid beyond, random x, every bin edge and its neighbours, and
+    # subnormal x
     rng = np.random.default_rng(12)
     edges = np.arange(_Q_COEFFS.shape[1] + 1) / 4
     xs = np.concatenate([
         np.arange(7000) * 0.0025,
+        np.arange(1750, 8150) * 0.01,
         rng.uniform(0.0, Q_TAIL, 4000),
-        edges, np.nextafter(edges[1:], 0), np.nextafter(edges, np.inf),
+        edges[:-1], np.nextafter(edges[1:], 0), np.nextafter(edges[:-1], np.inf),
         [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308],
-        np.linspace(Q_TAIL, 90.0, 300),
     ])
-    q = _dawson_q(xs)
-    inside = xs < Q_TAIL
-    assert np.array_equal(q[inside], dawson_q(xs[inside]))
-    assert _q_ulps(xs, q) <= 3
+    assert xs.max() < Q_TAIL
+    assert _q_ulps(xs, dawson_q(xs)) <= 3
 
 
 def test_q_at_zero_is_one():
     assert dawson_q(0.0) == 1.0
+    assert dawson_q(np.zeros(3)).tolist() == [1.0] * 3
     assert q_point(0.0, q_bin(0.0)) == 1.0
-    assert _dawson_q(np.zeros(3)).tolist() == [1.0] * 3
+    # the series reads that Q: at x = 0 it gives its sums with Q = 1
+    p = SeriesParams(5, 61, 6)
+    k, l = eval_w_internal(np.zeros(3), 0.05, p)
+    k0, l0 = series_w(cached_y_coefficients(0.05, p), 0.0, 1.0)
+    assert k.tolist() == [k0] * 3 and l.tolist() == [l0] * 3 == [0.0] * 3
 
 
 def test_q_point_matches_array():
@@ -179,13 +182,18 @@ def test_q_point_matches_array():
     assert [q_point(x, q_bin(x)) for x in xs.tolist()] == q.tolist()
     assert np.array_equal(dawson_q(xs[:2000].reshape(40, 50)).ravel(), q[:2000])
     assert dawson_q(np.empty(0)).shape == (0,)
-    # past Q_TAIL the series takes the fraction at TAIL_DEPTH, divided by x
-    xt = np.array([Q_TAIL, np.nextafter(Q_TAIL, np.inf), 40.0, 81.3])
-    assert _dawson_q(np.r_[1.0, xt])[1:].tolist() == (dawson_cf(xt, TAIL_DEPTH) / xt).tolist()
+    # the last x below Q_TAIL reads the last bin
+    assert q_bin(np.nextafter(Q_TAIL, 0)) == _Q_COEFFS.shape[1] - 1
 
 
 def test_q_table_regenerates():
-    # three bins from the multiprecision generator, bit for bit the package data
-    bins = [0, 33, _Q_COEFFS.shape[1] - 1]
-    assert np.array_equal(dawson_q_table(bins=bins), _Q_COEFFS[:, bins])
-    assert _Q_COEFFS.shape == (12, 70) and _Q_COEFFS.flags.c_contiguous
+    # every bin from the multiprecision generator, bit for bit the package data
+    assert np.array_equal(dawson_q_table(), _Q_COEFFS)
+    assert _Q_COEFFS.shape == (12, 326) and _Q_COEFFS.flags.c_contiguous
+
+
+def test_q_table_reaches_past_every_x_c():
+    # the series' widest domain is |x| < x_c(5e-324), the smallest y > 0;
+    # the table holds it and ends within one bin of it
+    x_c = boundary_x_c(5e-324)
+    assert x_c < Q_TAIL <= x_c + 0.25

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
-from voigtw.dawson import TAIL_DEPTH
 from voigtw.laplace import laplace_w
 from voigtw.scheme import (
     _EXT_DEPTH_EDGES,
@@ -112,11 +111,13 @@ def test_split_at_x_c_is_the_hypot_rule(y):
 
 def test_point_branch_reports_the_depth_used():
     assert point_branch(-3.0, 0.0) == ("axis", "dawson_depth", 61)
-    # inside z_c: the Dawson polynomial's bin, or past the last bin the fraction
+    # inside z_c: the Dawson polynomial's bin, out to the last x inside
+    # z_c at the smallest y
     assert point_branch(-1.0, 0.05) == ("internal", "dawson_bin", 4)
     assert point_branch(0.0, 0.05) == ("internal", "dawson_bin", 0)
     assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "dawson_bin", 69)
-    assert point_branch(17.5, 1e-300) == ("internal", "dawson_depth", TAIL_DEPTH)
+    assert point_branch(17.5, 1e-300) == ("internal", "dawson_bin", 70)
+    assert point_branch(np.nextafter(boundary_x_c(5e-324), 0), 5e-324) == ("internal", "dawson_bin", 325)
     # outside it, the depth at |x|
     assert point_branch(30.0, 0.01) == ("external", "laplace_depth", 6)
     assert point_branch(-1e300, 1e-300) == ("external", "laplace_depth", 1)
@@ -416,3 +417,21 @@ def test_oracle_bounds_property(x, y):
     assert rel_err(k, ref.real) <= 5e-13, (x, y)
     # L's contract: where it is subnormal, one subnormal ulp
     assert abs(l - ref.imag) <= max(2e-15 * abs(ref.imag), 2.0**-1074), (x, y)
+
+
+def test_oracle_bounds_l_below_1e_100():
+    # the Dawson bins past 17.5, which only y below about 1e-110 take
+    # inside z_c(y): y log-uniform in [5e-324, 1e-110] and x in
+    # [17.5, x_c(y)), redrawn where x_c(y) <= 17.5.  L keeps its contract
+    rng = np.random.default_rng(110)
+    checked = 0
+    while checked < 200:
+        y = max(math.exp(rng.uniform(math.log(5e-324), math.log(1e-110))), 5e-324)
+        x_c = boundary_x_c(y)
+        if x_c <= 17.5:
+            continue
+        x = rng.uniform(17.5, x_c)
+        l = eval_w(x, y).l
+        ref = ref_w(x, y).imag
+        assert abs(l - ref) <= max(2e-15 * abs(ref), 2.0**-1074), (x, y)
+        checked += 1

@@ -88,8 +88,7 @@ class TestEvalL:
 
     def test_y0_is_scaled_dawson_exact(self):
         # at y = 0 the series collapses to L = x (2/sqrt(pi)) Q(x), from the
-        # bin polynomials and past Q_TAIL the fraction: within criterion 2's
-        # 3 ulp of 2 D(x)/sqrt(pi)
+        # bin polynomials: within criterion 2's 3 ulp of 2 D(x)/sqrt(pi)
         xs = np.linspace(0, 25, 301)
         l = eval_w_internal(xs, 0.0, P16).l
         assert l[0] == 0.0
@@ -156,18 +155,35 @@ class TestEvalWInternal:
                 one = eval_w_internal(float(x), y, select_params(y))
                 assert np.array_equal(np.array(one).view(np.uint64), want), (x, y)
 
-    @pytest.mark.parametrize("y", [1e-120, 1e-300])
+    @pytest.mark.parametrize("y", [1e-300, 5e-324])
     def test_batch_matches_scalar_at_dawson_bins(self, y):
-        # every bin edge of the Dawson polynomials and its neighbours, and
-        # Q_TAIL, where the depth-8 fraction takes over, with its neighbours
+        # every bin edge of the Dawson polynomials up to Q_TAIL and its
+        # neighbours, and the last x inside z_c(y); the edges past x_c(y)
+        # take the Laplace fraction
         edges = np.arange(_Q_COEFFS.shape[1] + 1) / 4
-        xs = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
-        xs = np.concatenate([xs, [np.nextafter(Q_TAIL, 0), Q_TAIL, np.nextafter(Q_TAIL, np.inf), 40.0]])
-        assert np.nextafter(Q_TAIL, np.inf) < boundary_x_c(y)
+        xs = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+                             [np.nextafter(boundary_x_c(y), 0)]])
+        assert edges[-1] == Q_TAIL
         k, l = eval_w_batch(xs, y)
         want = np.array([k, l]).T.view(np.uint64)
         got = np.array([eval_w(float(x), y) for x in xs]).view(np.uint64)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x", [Q_TAIL, -Q_TAIL, 1e160, 1e200, np.inf, -np.inf, np.nan])
+def test_eval_w_internal_rejects_x_outside_the_table(x):
+    # the bin polynomials end at Q_TAIL; past it, and at inf or NaN, the
+    # series has no Q to read, as a scalar or anywhere in an array
+    with pytest.raises(ValueError):
+        eval_w_internal(x, 0.0, P16)
+    with pytest.raises(ValueError):
+        eval_w_internal(np.array([1.0, x]), 1e-8, P16)
+
+
+def test_eval_w_internal_takes_the_last_x_of_the_table():
+    x = np.nextafter(Q_TAIL, 0)
+    k, l = eval_w_internal(np.array([-x, x]), 5e-324, P16)
+    assert np.all(np.isfinite(k)) and l[1] == -l[0] > 0.0
 
 
 def test_derivative_relation():
