@@ -54,8 +54,10 @@ def dawson_q(x):
     """
     shape = np.shape(x)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    b = (x * _BINS_PER_UNIT).astype(np.intp)
-    t = x - _Q_CENTRES.take(b, mode="clip")
+    t = np.multiply(x, _BINS_PER_UNIT)
+    b = t.astype(np.intp)
+    _Q_CENTRES.take(b, out=t, mode="clip")
+    np.subtract(x, t, out=t)
     # Horner in t, gathering one coefficient row per degree
     acc = _Q_COEFFS[-1].take(b, mode="clip")
     tmp = np.empty_like(acc)

@@ -189,22 +189,22 @@ def eval_w_batch(xs, y):
     xs = np.asarray(xs, dtype=np.float64)
     y = float(y)
     params = select_params(y)  # also rejects y outside [0, Y_MAX]
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("x must be finite")
     ax = np.abs(xs).reshape(-1)
+    ax_max = ax.max(initial=0.0)  # NaN propagates
+    if not math.isfinite(ax_max):
+        raise ValueError("x must be finite")
 
     if y == 0.0:
         # Analytic collapse of the series: exact at y = 0 for every x.
         # e^{-x^2} is 0 from x ~ 27.3 on; the clamp keeps x^2 finite.
         k = np.exp(-np.square(np.minimum(ax, 30.0)))
         l = _TWO_OVER_SQRT_PI * dawson_cf(ax, params.n_d)
+    elif ax_max < (x_c := boundary_x_c(y)):
+        # a call on one branch takes no mask, gather or scatter
+        k, l = eval_w_internal(ax, y, params)
     else:
-        internal = ax < boundary_x_c(y)
-        n_internal = np.count_nonzero(internal)
-        # a call on one branch takes no gather or scatter
-        if n_internal == ax.size:
-            k, l = eval_w_internal(ax, y, params)
-        elif n_internal == 0:
+        internal = ax < x_c
+        if not internal.any():
             w = _external(ax, y)
             k, l = w.real.copy(), w.imag.copy()
         else:

@@ -11,12 +11,13 @@ plus Q(x) = D(x)/x, Dawson's integral over x, and one exp(-x^2):
 Q is even with Q(0) = 1, so the same sum gives K(0, y) = e^{y^2} erfc y
 and no point needs a division or a special case.  Q comes from the bin
 polynomials of `dawson.dawson_q`, which cover every x inside the
-computing boundary.  K and L are assembled by one function, `series_w`,
-which shares x^2, q and exp(-x^2) between them and takes floats as well
-as arrays, so the scalar evaluator (`scheme.eval_w`) runs the very
-expressions `eval_w_internal` runs on arrays.  The fold is O(N^2)
-but x-independent, so it is shared by batch evaluation and kept in a
-bounded LRU cache keyed by (y, params), holding the 128 most recent sets.
+computing boundary.  x^2, q and exp(-x^2) are shared between K and L.
+One point (`scheme.eval_w`) takes `series_w`, the expressions above on
+floats; arrays (`eval_w_internal`) take `_series_array`, the same
+operations in the same order run in place in one workspace, so both
+give every point the same bits.  The fold is O(N^2) but x-independent,
+so it is shared by batch evaluation and kept in a bounded LRU cache
+keyed by (y, params), holding the 128 most recent sets.
 """
 
 import math
@@ -122,7 +123,7 @@ def cached_y_coefficients(y, params):
 
 
 def _horner(coeffs, x2):
-    """Evaluate sum_k coeffs[k] * x2^k at a float or an array x2; no coefficients give 0."""
+    """Evaluate sum_k coeffs[k] * x2^k at a float x2; no coefficients give 0."""
     if not coeffs:
         return 0.0
     acc = coeffs[-1]
@@ -131,16 +132,26 @@ def _horner(coeffs, x2):
     return acc
 
 
-def series_w(c, x, q):
-    """K and L of the series from the fold c at x >= 0, given Q(x) = D(x)/x.
+def _horner_array(coeffs, x2, out):
+    """`_horner` over an array x2, written into `out`; under two coefficients, its float."""
+    if len(coeffs) < 2:
+        return _horner(coeffs, x2)
+    np.multiply(coeffs[-1], x2, out=out)
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out *= x2
+        out += c
+    return out
 
-    x and Q(x) are floats, or arrays of one shape; x^2, Q(x)/sqrt(pi) and
-    exp(-x^2) are shared between K and L.  Returns (K, L).
+
+def series_w(c, x, q):
+    """K and L of the series from the fold c at one float x >= 0, given Q(x) = D(x)/x.
+
+    x^2, Q(x)/sqrt(pi) and exp(-x^2) are shared between K and L.  Arrays
+    take `_series_array`, the same operations in place.  Returns (K, L).
     """
     x2 = x * x
     ex = np.exp(-x2)
-    # rebinding drops the last reference to a caller's temporary Q(x), so
-    # big batches hold one full-length array less while K and L are formed
     q = _ONE_OVER_SQRT_PI * q
     k = (
         q * _horner(c.alpha_p, x2)
@@ -153,6 +164,27 @@ def series_w(c, x, q):
         + ex * _horner(c.beta, x2)
         + _ONE_OVER_SQRT_PI * _horner(c.gamma, x2)
     )
+    return k, l
+
+
+def _series_array(c, x, q):
+    """`series_w` over 1-d arrays x and q, in place: its operations in its
+    order, so every point gets the same bits.  The q A terms come first,
+    then q's buffer holds the other four Horner sums.
+    """
+    x2, ex = np.empty((2, x.size))
+    np.multiply(x, x, out=x2)
+    np.exp(np.negative(x2, out=ex), out=ex)
+    q *= _ONE_OVER_SQRT_PI
+    k = np.empty_like(x2)
+    l = np.empty_like(x2)
+    for a, out in ((c.alpha_p, k), (c.alpha, l)):
+        np.multiply(q, _horner_array(a, x2, out), out=out)
+    acc = q
+    for b, g, out in ((c.beta_p, c.gamma_p, k), (c.beta, c.gamma, l)):
+        out += np.multiply(ex, _horner_array(b, x2, acc), out=acc)
+        out += np.multiply(_ONE_OVER_SQRT_PI, _horner_array(g, x2, acc), out=acc)
+    l *= x
     return k, l
 
 
@@ -170,7 +202,12 @@ def eval_w_internal(x, y, params):
     c = cached_y_coefficients(float(y), params)
     x = np.asarray(x, dtype=np.float64)
     # min and max, not max |x|: no |x| array outlives dawson_q; NaN fails both
-    if not (-Q_TAIL < x.min(initial=0.0) and x.max(initial=0.0) < Q_TAIL):
+    lo = x.min(initial=0.0)
+    if not (-Q_TAIL < lo and x.max(initial=0.0) < Q_TAIL):
         raise ValueError(f"eval_w_internal requires finite |x| < {Q_TAIL}")
-    k, l = series_w(c, x, dawson_q(np.abs(x)))
-    return VoigtValue(k, l) if x.ndim else VoigtValue(float(k), float(l))
+    xs = x.reshape(-1)
+    # eval_w_batch passes |x|, which needs no copy; x itself is never written
+    k, l = _series_array(c, xs, dawson_q(np.abs(xs) if lo < 0 else xs))
+    if not x.ndim:
+        return VoigtValue(float(k[0]), float(l[0]))
+    return VoigtValue(k.reshape(x.shape), l.reshape(x.shape))

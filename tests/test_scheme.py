@@ -319,6 +319,24 @@ class TestBatch:
                 assert a.shape == np.shape(xs) and a.flags.c_contiguous
                 assert np.all(a.view(np.uint64) == np.float64(want).view(np.uint64))
 
+    @pytest.mark.parametrize("y, lo, hi", [(0.05, 0.0, 6.0), (0.05, 10.0, 80.0),
+                                           (0.05, 0.0, 80.0), (0.0, 0.0, 80.0)])
+    def test_inputs_are_never_written(self, y, lo, hi):
+        # internal, external, mixed and axis calls, on a read-only array, a
+        # strided view and float32; |x| < 80 lies in eval_w_internal's domain
+        rng = np.random.default_rng(5)
+        base = rng.uniform(lo, hi, 96) * rng.choice([-1.0, 1.0], 96)
+        readonly = base.copy()
+        readonly.setflags(write=False)
+        for xs in (readonly, base[::3], base.reshape(8, 12).T, base.astype(np.float32)):
+            owner = xs if xs.base is None else xs.base
+            before = owner.tobytes()
+            k, l = eval_w_batch(xs, y)
+            assert k.shape == xs.shape and np.all(np.isfinite(k))
+            k, l = eval_w_internal(xs, y, select_params(y))
+            assert k.shape == xs.shape and np.all(np.isfinite(l))
+            assert owner.tobytes() == before
+
     def test_empty(self):
         k, l = eval_w_batch([], 0.05)
         assert k.size == 0 and l.size == 0

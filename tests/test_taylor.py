@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err, ulps
-from voigtw.dawson import Q_TAIL, _Q_COEFFS
+from voigtw.dawson import Q_TAIL, _Q_COEFFS, q_bin, q_point
 from voigtw.oracle import ref_dawson, ref_erfcx, ref_w
 from voigtw.scheme import boundary_x_c, eval_w, eval_w_batch, select_params
 from voigtw.taylor import (
@@ -13,6 +13,7 @@ from voigtw.taylor import (
     build_y_coefficients,
     cached_y_coefficients,
     eval_w_internal,
+    series_w,
 )
 
 P16 = SeriesParams(n=4, n_d=61, n_c=6)
@@ -168,6 +169,35 @@ class TestEvalWInternal:
         want = np.array([k, l]).T.view(np.uint64)
         got = np.array([eval_w(float(x), y) for x in xs]).view(np.uint64)
         assert np.array_equal(got, want)
+
+
+# one y per series order N = 1..7, then y = 0 and the least y > 0
+_KERNEL_YS = [(1e-30, 1), (1e-5, 2), (1e-3, 3), (0.01, 4), (0.03, 5), (0.05, 6), (0.1, 7),
+              (0.0, 1), (5e-324, 1)]
+
+
+@pytest.mark.parametrize("y, n", _KERNEL_YS)
+def test_array_kernel_at_loop_edges(y, n):
+    # numpy runs the body of an array in vector loops and its last few
+    # elements apart; at lengths around the vector widths and a few powers
+    # of two, every point must come out as the float path gives it
+    params = select_params(y)
+    assert params.n == n
+    x_c = boundary_x_c(y) if y else 6.0
+    xs = np.random.default_rng(n).uniform(-x_c, x_c, 16387)
+    fold = cached_y_coefficients(y, params)
+    point = []
+    for x in xs.tolist():
+        ax = abs(x)
+        k, l = series_w(fold, ax, q_point(ax, q_bin(ax)))
+        point.append((k, -l if x < 0 else l))
+    point = np.array(point).view(np.uint64)
+    batch_point = np.array([eval_w(x, y) for x in xs.tolist()]).view(np.uint64)
+    for size in [*range(1, 18), 4095, 4096, 4097, 16387]:
+        k, l = eval_w_internal(xs[:size], y, params)
+        assert np.array_equal(np.c_[k, l].view(np.uint64), point[:size]), size
+        k, l = eval_w_batch(xs[:size], y)
+        assert np.array_equal(np.c_[k, l].view(np.uint64), batch_point[:size]), size
 
 
 @pytest.mark.parametrize("x", [Q_TAIL, -Q_TAIL, 1e160, 1e200, np.inf, -np.inf, np.nan])
