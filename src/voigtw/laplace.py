@@ -26,23 +26,23 @@ _I_SQRT_PI = 1j / np.sqrt(np.pi)
 _OWN_QUOTIENT_MAX = 2048
 
 
-def deepest_first(n, shape, name):
+def deepest_first(n, shape):
     """Order points deepest first for a bottom-up fraction of depth n.
 
-    n is a positive integer or an integer array of `shape`, one depth per
-    point; `name` labels it in error messages.  Returns (order, top, joins):
-    order is None when every point has the same depth, else the flat
-    permutation putting deeper points first; top is the greatest depth;
-    joins maps each depth k present to the number m of points of depth
-    >= k, so level k and the levels below it, down to the next join,
-    update the first m ordered points.
+    n, laplace_w's n_c, is a positive integer or an integer array of
+    `shape`, one depth per point.  Returns (order, top, joins): order is
+    None when every point has the same depth, else the flat permutation
+    putting deeper points first; top is the greatest depth; joins maps
+    each depth k present to the number m of points of depth >= k, so
+    level k and the levels below it, down to the next join, update the
+    first m ordered points.
     """
     depth = np.asarray(n)
     if depth.shape not in ((), shape):
-        raise ValueError(f"{name} must be an int or one depth per point, got shape {depth.shape}")
+        raise ValueError(f"n_c must be an int or one depth per point, got shape {depth.shape}")
     lo, top = (int(depth.min()), int(depth.max())) if depth.size else (1, 1)
     if lo < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n}")
+        raise ValueError(f"n_c must be a positive integer, got {n}")
     if lo == top:  # one depth: no sort
         return None, top, {top: math.prod(shape)}
     # a small unsigned key, complemented so that ascending is deepest
@@ -67,7 +67,7 @@ def laplace_w(z, n_c):
     rejected (the leading denominator vanishes).
     """
     z = np.asarray(z, dtype=np.complex128)
-    order, top, joins = deepest_first(n_c, z.shape, "n_c")
+    order, top, joins = deepest_first(n_c, z.shape)
     if (z == 0).any():
         raise ValueError("laplace_w is undefined at z = 0")
     zs = z.ravel() if order is None else z.ravel()[order]

@@ -7,18 +7,19 @@ Taylor series inside, the Laplace continued fraction outside.  Dispatch
 compares x with x_c(y), the first x whose hypot(x, y) reaches z_c(y)
 (`boundary_x_c`), so the branch is the one |z| < z_c(y) picks without a
 |z| per point.
-A batch whose points all take one branch passes its array to that branch
-whole; only a mixed batch gathers each branch's points and scatters the
-results back.  The series reads D(x)/x from the bin polynomials of
-`dawson.dawson_q`; the tabulated N_D serves the y = 0 axis alone.
+The per-y state (parameters, coefficient fold, x_c) is one record of a
+128-entry LRU cache keyed by y (`_y_record`), which batch calls,
+`eval_w` and `point_branch` all read.  A batch whose points all take one
+branch passes its array to that branch's kernel whole; only a mixed
+batch gathers each branch's points and scatters the results back.  The
+series reads D(x)/x from the bin polynomials of `dawson.dawson_q`; the
+tabulated N_D serves the y = 0 axis alone.
 
 `eval_w` evaluates one point in scalar arithmetic, bit for bit what
-`eval_w_batch` gives for it.  Its per-y state (parameters, fold, x_c) is
-one record of a 128-entry LRU cache keyed by y, which `point_branch`
-reads too.  The Dawson polynomials and fraction and the Horner sums run
-on Python floats, as IEEE + - * / round alike on floats and arrays and
-neither side fuses a multiply with an add.  The rest stays numpy's,
-where Python rounds differently from the ufuncs:
+`eval_w_batch` gives for it.  The Dawson polynomials and fraction and
+the Horner sums run on Python floats, as IEEE + - * / round alike on
+floats and arrays and neither side fuses a multiply with an add.  The
+rest stays numpy's, where Python rounds differently from the ufuncs:
 `np.exp` (`math.exp` differs on about 4% of arguments in [-745, 0], an
 AVX-512 build) and complex128 scalars for the Laplace fraction (Python's
 `complex` division on about two of five random quotients).
@@ -47,14 +48,7 @@ import numpy as np
 
 from .dawson import _fraction, dawson_cf, q_bin, q_point
 from .laplace import _I_SQRT_PI, laplace_w
-from .taylor import (
-    SeriesParams,
-    VoigtValue,
-    Y_MAX,
-    cached_y_coefficients,
-    eval_w_internal,
-    series_w,
-)
+from .taylor import SeriesParams, VoigtValue, Y_MAX, build_y_coefficients, series_array, series_w
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -181,14 +175,14 @@ def external_depth(r):
 def eval_w_batch(xs, y):
     """Evaluate w(x + iy) = K + iL over an array of x sharing one y.
 
-    Identical, bit for bit, to mapping eval_w over xs: the per-y
-    coefficient fold is shared and every per-point decision (dispatch,
-    fraction depth) depends only on that point.  K and L are C-contiguous
-    float64 arrays of xs' shape, 0-d for a scalar xs.
+    Identical, bit for bit, to mapping eval_w over xs: both read the
+    per-y record and every per-point decision (dispatch, fraction depth)
+    depends only on that point.  K and L are C-contiguous float64 arrays
+    of xs' shape, 0-d for a scalar xs.
     """
     xs = np.asarray(xs, dtype=np.float64)
     y = float(y)
-    params = select_params(y)  # also rejects y outside [0, Y_MAX]
+    params, fold, x_c = _y_record(y)
     ax = np.abs(xs).reshape(-1)
     ax_max = ax.max(initial=0.0)  # NaN propagates
     if not math.isfinite(ax_max):
@@ -199,9 +193,9 @@ def eval_w_batch(xs, y):
         # e^{-x^2} is 0 from x ~ 27.3 on; the clamp keeps x^2 finite.
         k = np.exp(-np.square(np.minimum(ax, 30.0)))
         l = _TWO_OVER_SQRT_PI * dawson_cf(ax, params.n_d)
-    elif ax_max < (x_c := boundary_x_c(y)):
+    elif ax_max < x_c:
         # a call on one branch takes no mask, gather or scatter
-        k, l = eval_w_internal(ax, y, params)
+        k, l = series_array(fold, ax)
     else:
         internal = ax < x_c
         if not internal.any():
@@ -210,7 +204,7 @@ def eval_w_batch(xs, y):
         else:
             k = np.empty_like(ax)
             l = np.empty_like(ax)
-            k[internal], l[internal] = eval_w_internal(ax[internal], y, params)
+            k[internal], l[internal] = series_array(fold, ax[internal])
             external = ~internal
             w = _external(ax[external], y)
             k[external] = w.real
@@ -232,11 +226,15 @@ _EXT_DEPTH_LIST = _EXT_DEPTHS.tolist()
 
 @lru_cache(maxsize=128)
 def _y_record(y):
-    """(params, fold, x_c) at one float y, shared by every scalar call at that y."""
-    params = select_params(y)  # also rejects y outside [0, Y_MAX]
+    """(params, fold, x_c) at one float y, shared by every batch and scalar call at that y.
+
+    Rejects y outside [0, Y_MAX] as `select_params` does.  At y = 0 the
+    fold is None and x_c is inf: the axis path needs neither.
+    """
+    params = select_params(y)
     if y == 0.0:
         return params, None, math.inf
-    return params, cached_y_coefficients(y, params), boundary_x_c(y)
+    return params, build_y_coefficients(y, params), boundary_x_c(y)
 
 
 def _point_plan(x, y):

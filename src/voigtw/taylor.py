@@ -13,15 +13,13 @@ and no point needs a division or a special case.  Q comes from the bin
 polynomials of `dawson.dawson_q`, which cover every x inside the
 computing boundary.  x^2, q and exp(-x^2) are shared between K and L.
 One point (`scheme.eval_w`) takes `series_w`, the expressions above on
-floats; arrays (`eval_w_internal`) take `_series_array`, the same
-operations in the same order run in place in one workspace, so both
-give every point the same bits.  The fold is O(N^2) but x-independent,
-so it is shared by batch evaluation and kept in a bounded LRU cache
-keyed by (y, params), holding the 128 most recent sets.
+floats; arrays take `series_array`, the same operations in the same
+order run in place in one workspace, so both give every point the same
+bits.  The fold is O(N^2) but x-independent; `scheme` keeps it in its
+one per-y record, which batch and scalar calls share.
 """
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -65,12 +63,15 @@ def build_y_coefficients(y, params):
 
     Accumulation runs in descending m (smallest terms first) and the
     scaled powers y^(2m)/(2m)! are formed by iterative multiplication, so
-    no large factorial is ever evaluated in floating point.
+    no large factorial is ever evaluated in floating point.  N runs from
+    0 to DEFAULT_M_MAX, the order of the last calibrated band.
     """
     if not 0.0 <= y <= Y_MAX:
         raise ValueError(f"y must lie in [0, {Y_MAX}], got {y}")
-    tables = get_tables(max(DEFAULT_M_MAX, params.n))
     n_max = params.n
+    if not 0 <= n_max <= DEFAULT_M_MAX:
+        raise ValueError(f"N must lie in 0..{DEFAULT_M_MAX}, got {n_max!r}")
+    tables = get_tables()
     y = float(y)
     y2 = y * y
 
@@ -116,12 +117,6 @@ def build_y_coefficients(y, params):
     )
 
 
-@lru_cache(maxsize=128)
-def cached_y_coefficients(y, params):
-    """Memoized build_y_coefficients; the sets are immutable, so sharing is safe."""
-    return build_y_coefficients(y, params)
-
-
 def _horner(coeffs, x2):
     """Evaluate sum_k coeffs[k] * x2^k at a float x2; no coefficients give 0."""
     if not coeffs:
@@ -148,7 +143,7 @@ def series_w(c, x, q):
     """K and L of the series from the fold c at one float x >= 0, given Q(x) = D(x)/x.
 
     x^2, Q(x)/sqrt(pi) and exp(-x^2) are shared between K and L.  Arrays
-    take `_series_array`, the same operations in place.  Returns (K, L).
+    take `series_array`, the same operations in place.  Returns (K, L).
     """
     x2 = x * x
     ex = np.exp(-x2)
@@ -167,11 +162,13 @@ def series_w(c, x, q):
     return k, l
 
 
-def _series_array(c, x, q):
-    """`series_w` over 1-d arrays x and q, in place: its operations in its
-    order, so every point gets the same bits.  The q A terms come first,
-    then q's buffer holds the other four Horner sums.
+def series_array(c, x):
+    """`series_w` over a 1-d array of 0 <= x < Q_TAIL, unchecked, with Q
+    from `dawson_q`.  Its operations run in its order, in place, so every
+    point gets the same bits.  The q A terms come first, then q's buffer
+    holds the other four Horner sums.  x itself is never written.
     """
+    q = dawson_q(x)
     x2, ex = np.empty((2, x.size))
     np.multiply(x, x, out=x2)
     np.exp(np.negative(x2, out=ex), out=ex)
@@ -191,23 +188,22 @@ def _series_array(c, x, q):
 def eval_w_internal(x, y, params):
     """Internal-branch evaluation of (K, L) at x, 0 <= y <= 0.1.
 
-    Reuses the cached coefficient fold for y; Q(x) comes from the bin
-    polynomials, so params.n_d is not used here.  Q is even, so a
-    negative x reads Q at |x|, and K comes out even and L odd.  Returns
-    floats for a scalar x, else arrays of x's shape.  Defined for
-    |x| < Q_TAIL = 81.5, the extent of the bin table, which holds every
-    |x| < x_c(y) the dispatcher sends it; raises ValueError for any other
-    x, NaN included.
+    Folds the coefficients for y on every call and checks x, then runs
+    `series_array` at |x|; params.n_d is not used, as Q(x) comes from the
+    bin polynomials.  K is even and L odd in x.  Returns floats for a
+    scalar x, else arrays of x's shape.  Defined for |x| < Q_TAIL = 81.5,
+    the extent of the bin table, which holds every |x| < x_c(y) the
+    dispatcher sends the series; raises ValueError for any other x, NaN
+    included.
     """
-    c = cached_y_coefficients(float(y), params)
+    c = build_y_coefficients(y, params)
     x = np.asarray(x, dtype=np.float64)
-    # min and max, not max |x|: no |x| array outlives dawson_q; NaN fails both
-    lo = x.min(initial=0.0)
-    if not (-Q_TAIL < lo and x.max(initial=0.0) < Q_TAIL):
+    ax = np.abs(x).reshape(-1)
+    if not ax.max(initial=0.0) < Q_TAIL:  # NaN fails too
         raise ValueError(f"eval_w_internal requires finite |x| < {Q_TAIL}")
-    xs = x.reshape(-1)
-    # eval_w_batch passes |x|, which needs no copy; x itself is never written
-    k, l = _series_array(c, xs, dawson_q(np.abs(xs) if lo < 0 else xs))
+    k, l = series_array(c, ax)
+    # L is odd in x; negation is exact, so this is x times the sum
+    np.negative(l, out=l, where=np.signbit(x).reshape(-1))
     if not x.ndim:
         return VoigtValue(float(k[0]), float(l[0]))
     return VoigtValue(k.reshape(x.shape), l.reshape(x.shape))

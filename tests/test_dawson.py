@@ -9,7 +9,7 @@ from conftest import dawson_maclaurin, rel_err, ulps
 from voigtw.dawson import Q_TAIL, _Q_COEFFS, dawson_cf, dawson_q, q_bin, q_point
 from voigtw.oracle import dawson_q_table, ref_dawson
 from voigtw.scheme import _dawson_point, boundary_x_c
-from voigtw.taylor import SeriesParams, cached_y_coefficients, eval_w_internal, series_w
+from voigtw.taylor import SeriesParams, build_y_coefficients, eval_w_internal, series_w
 
 
 def test_zero():
@@ -169,7 +169,7 @@ def test_q_at_zero_is_one():
     # the series reads that Q: at x = 0 it gives its sums with Q = 1
     p = SeriesParams(5, 61, 6)
     k, l = eval_w_internal(np.zeros(3), 0.05, p)
-    k0, l0 = series_w(cached_y_coefficients(0.05, p), 0.0, 1.0)
+    k0, l0 = series_w(build_y_coefficients(0.05, p), 0.0, 1.0)
     assert k.tolist() == [k0] * 3 and l.tolist() == [l0] * 3 == [0.0] * 3
 
 

@@ -78,7 +78,7 @@ def test_deepest_first_joins_match_bincount():
         top = int(rng.integers(1, 300))
         size = int(rng.integers(1, 60))
         depth = rng.choice(rng.integers(1, top + 1, rng.integers(1, 6)), size)
-        order, deepest, joins = deepest_first(depth, depth.shape, "n")
+        order, deepest, joins = deepest_first(depth, depth.shape)
         counts, want, m = np.bincount(depth), {}, 0
         for k in range(depth.max(), 0, -1):
             if counts[k]:

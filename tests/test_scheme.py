@@ -157,14 +157,46 @@ def test_narrow_or_0d_y_acts_as_its_float(y):
 
 
 def test_y_record_is_bounded():
+    # batch and scalar calls share the one per-y record
     _y_record.cache_clear()
-    for y in np.linspace(1e-4, 0.1, 1000):
-        eval_w(1.0, float(y))
+    for y in np.linspace(1e-4, 0.1, 300):
+        eval_w_batch([1.0], float(y))
     info = _y_record.cache_info()
-    assert info.misses == 1000
+    assert info.misses == 300
     assert info.currsize <= 128
     eval_w(2.0, 0.1)
     assert _y_record.cache_info().hits == info.hits + 1
+
+
+def test_repeated_y_batch_neither_folds_nor_searches(monkeypatch):
+    import voigtw.scheme as scheme
+
+    calls = {"build_y_coefficients": 0, "boundary_x_c": 0}
+
+    def counted(name):
+        f = getattr(scheme, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(scheme, name, wrapper)
+
+    counted("build_y_coefficients")
+    counted("boundary_x_c")
+    xs = np.array([0.5, -3.0, 30.0])  # both branches: the mixed path
+    _y_record.cache_clear()
+    try:
+        first = eval_w_batch(xs, 0.05)
+        assert calls == {"build_y_coefficients": 1, "boundary_x_c": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        for x in (xs, xs[:1], xs[2:]):  # mixed, all internal, all external
+            eval_w_batch(x, 0.05)
+        again = eval_w_batch(xs, 0.05)
+        assert calls == {"build_y_coefficients": 0, "boundary_x_c": 0}
+        assert _bits(again).tolist() == _bits(first).tolist()
+    finally:
+        _y_record.cache_clear()
 
 
 def test_external_depth_steps():

@@ -5,16 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import rel_err, ulps
+from voigtw.coeffs import get_tables
 from voigtw.dawson import Q_TAIL, _Q_COEFFS, q_bin, q_point
 from voigtw.oracle import ref_dawson, ref_erfcx, ref_w
 from voigtw.scheme import boundary_x_c, eval_w, eval_w_batch, select_params
-from voigtw.taylor import (
-    SeriesParams,
-    build_y_coefficients,
-    cached_y_coefficients,
-    eval_w_internal,
-    series_w,
-)
+from voigtw.taylor import SeriesParams, build_y_coefficients, eval_w_internal, series_w
 
 P16 = SeriesParams(n=4, n_d=61, n_c=6)
 
@@ -36,6 +31,16 @@ class TestCoefficientFold:
     def test_gamma_empty_at_n0(self):
         c = build_y_coefficients(0.01, SeriesParams(0, 61, 6))
         assert c.gamma == () and c.gamma_p == ()
+
+    @pytest.mark.parametrize("n", [-1, 17])
+    def test_rejects_n_outside_the_bands(self, n):
+        # 16 is the order of the last calibrated band; no N builds a table of its own
+        tables = get_tables.cache_info().currsize
+        with pytest.raises(ValueError, match="N must lie in 0..16"):
+            build_y_coefficients(0.05, SeriesParams(n, 61, 6))
+        with pytest.raises(ValueError, match="N must lie in 0..16"):
+            eval_w_internal(1.0, 0.05, SeriesParams(n, 61, 6))
+        assert get_tables.cache_info().currsize == tables
 
     def test_alpha0_telescopes_to_exponential(self):
         # p[m][0] y^(2m)/(2m)! = 2 y^(2m)/m!, so alpha_0 truncates 2 e^(y^2)
@@ -64,17 +69,6 @@ class TestCoefficientFold:
     def test_rejects_y_outside_domain(self, bad):
         with pytest.raises(ValueError):
             build_y_coefficients(bad, P16)
-
-
-def test_fold_cache_is_bounded():
-    cached_y_coefficients.cache_clear()
-    for y in np.linspace(1e-4, 0.1, 300):
-        eval_w_batch([1.0], float(y))
-    info = cached_y_coefficients.cache_info()
-    assert info.misses == 300
-    assert info.currsize <= 128
-    eval_w_batch([2.0], 0.1)
-    assert cached_y_coefficients.cache_info().hits == info.hits + 1
 
 
 class TestEvalL:
@@ -185,7 +179,7 @@ def test_array_kernel_at_loop_edges(y, n):
     assert params.n == n
     x_c = boundary_x_c(y) if y else 6.0
     xs = np.random.default_rng(n).uniform(-x_c, x_c, 16387)
-    fold = cached_y_coefficients(y, params)
+    fold = build_y_coefficients(y, params)
     point = []
     for x in xs.tolist():
         ax = abs(x)
