@@ -8,7 +8,7 @@ from conftest import rel_err, ulps
 from voigtw.coeffs import get_tables
 from voigtw.dawson import Q_TAIL, _Q_COEFFS, q_bin, q_point
 from voigtw.oracle import ref_dawson, ref_erfcx, ref_w
-from voigtw.scheme import boundary_x_c, eval_w, eval_w_batch, select_params
+from voigtw.scheme import _y_record, boundary_x_c, eval_w, eval_w_batch, select_params
 from voigtw.taylor import SeriesParams, build_y_coefficients, eval_w_internal, series_w
 
 P16 = SeriesParams(n=4, n_d=61, n_c=6)
@@ -69,6 +69,18 @@ class TestCoefficientFold:
     def test_rejects_y_outside_domain(self, bad):
         with pytest.raises(ValueError):
             build_y_coefficients(bad, P16)
+
+
+def test_fold_cache_is_bounded():
+    # the batch path's fold lives in the per-y record that scalar calls share
+    _y_record.cache_clear()
+    for y in np.linspace(1e-4, 0.1, 300):
+        eval_w_batch([1.0], float(y))
+    info = _y_record.cache_info()
+    assert info.misses == 300
+    assert info.currsize <= 128
+    eval_w(2.0, 0.1)
+    assert _y_record.cache_info().hits == info.hits + 1
 
 
 class TestEvalL:
