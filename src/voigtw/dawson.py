@@ -80,8 +80,9 @@ def q_bin(x):
     return int(x * _BINS_PER_UNIT)
 
 
-def q_point(x, i):
-    """dawson_q at one float x in bin i, in float arithmetic: the same bits."""
+def q_point(x):
+    """dawson_q at one float 0 <= x < Q_TAIL, in float arithmetic: the same bits."""
+    i = int(x * _BINS_PER_UNIT)
     t = x - _Q_CENTRE_LIST[i]
     acc, rest = _Q_ROWS[i]
     for c in rest:

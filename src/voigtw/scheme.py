@@ -16,13 +16,18 @@ series reads D(x)/x from the bin polynomials of `dawson.dawson_q`; the
 tabulated N_D serves the y = 0 axis alone.
 
 `eval_w` evaluates one point in scalar arithmetic, bit for bit what
-`eval_w_batch` gives for it.  The Dawson polynomials and fraction and
-the Horner sums run on Python floats, as IEEE + - * / round alike on
-floats and arrays and neither side fuses a multiply with an add.  The
-rest stays numpy's, where Python rounds differently from the ufuncs:
-`np.exp` (`math.exp` differs on about 4% of arguments in [-745, 0], an
-AVX-512 build) and complex128 scalars for the Laplace fraction (Python's
-`complex` division on about two of five random quotients).
+`eval_w_batch` gives for it.  It reads the per-y record once and picks
+the branch inline.  Inside z_c the whole series is one pass of Python
+floats: the Dawson polynomial, x^2, the six Horner sums and the K and L
+sums, as IEEE + - * / round alike on floats and arrays and neither side
+fuses a multiply with an add.  exp(-x^2) stays `np.exp`'s (`math.exp`
+differs on about 4% of arguments in [-745, 0], an AVX-512 build), taken
+as a float at once so no numpy scalar arithmetic follows.  The axis
+runs the Dawson fraction on floats.  The Laplace fraction stays on
+complex128 scalars: Python's `complex` division rounds differently on
+about two of five random quotients, and a Smith division written in
+floats, though it matched numpy's bits, cost more than the numpy scalar
+one.
 
 The external depth deserves a note.  Close to z_c(y) the fraction needs
 more levels than the paper's N_C = 6 (about 19 at |z| ~ 6.65, falling to
@@ -48,7 +53,9 @@ import numpy as np
 
 from .dawson import _fraction, dawson_cf, q_bin, q_point
 from .laplace import _I_SQRT_PI, laplace_w
-from .taylor import SeriesParams, VoigtValue, Y_MAX, build_y_coefficients, series_array, series_w
+from .taylor import (
+    _ONE_OVER_SQRT_PI, SeriesParams, VoigtValue, Y_MAX, build_y_coefficients, series_array,
+)
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -237,19 +244,15 @@ def _y_record(y):
     return params, build_y_coefficients(y, params), boundary_x_c(y)
 
 
-def _point_plan(x, y):
-    """Check one point as eval_w does; point_branch's triple, then x, y and the fold."""
-    y = float(y)
-    params, fold, x_c = _y_record(y)
-    x = float(x)
-    if not math.isfinite(x):
+def _point_depth(ax):
+    """external_depth at one float ax >= 0, without a numpy call; rejects inf and NaN.
+
+    eval_w and point_branch send here every |x| not below x_c, which is
+    inf at y = 0, so this is where both reject a non-finite x.
+    """
+    if not ax < math.inf:
         raise ValueError("x must be finite")
-    ax = abs(x)
-    if y == 0.0:
-        return "axis", "dawson_depth", params.n_d, x, y, fold
-    if ax < x_c:
-        return "internal", "dawson_bin", q_bin(ax), x, y, fold
-    return "external", "laplace_depth", _EXT_DEPTH_LIST[bisect_right(_EXT_EDGE_LIST, ax)], x, y, fold
+    return _EXT_DEPTH_LIST[bisect_right(_EXT_EDGE_LIST, ax)]
 
 
 def _dawson_point(x, n):
@@ -276,24 +279,51 @@ def point_branch(x, y):
     bin i of the Dawson polynomials; ("external", "laplace_depth", depth)
     outside it.  Rejects what eval_w rejects, with the same errors.
     """
-    return _point_plan(x, y)[:3]
+    y = float(y)
+    params, _, x_c = _y_record(y)
+    ax = abs(float(x))
+    if not ax < x_c:
+        return "external", "laplace_depth", _point_depth(ax)
+    if y == 0.0:
+        return "axis", "dawson_depth", params.n_d
+    return "internal", "dawson_bin", q_bin(ax)
 
 
 def eval_w(x, y):
     """Evaluate w(x + iy) at a single point; returns VoigtValue(k, l) of floats.
 
     Bit for bit eval_w_batch's result, computed in scalar arithmetic.
+    Inside z_c it runs `taylor.series_array`'s operations in its order on
+    Python floats: each Horner sum walks its fold tuple from the highest
+    degree down, and `np.exp`'s result is taken as a float at once, so no
+    numpy scalar arithmetic follows.
     """
-    branch, _, n, x, y, fold = _point_plan(x, y)
+    y = float(y)
+    params, fold, x_c = _y_record(y)
+    x = float(x)
     ax = abs(x)
-    if branch == "axis":
-        k = np.exp(-np.square(min(ax, 30.0)))
-        l = _TWO_OVER_SQRT_PI * _dawson_point(ax, n)
-    elif branch == "internal":
-        k, l = series_w(fold, ax, q_point(ax, n))
+    if not ax < x_c:  # x_c is inf at y = 0: inf and NaN come here
+        w = _laplace_point(complex(ax, y), _point_depth(ax))
+        k, l = float(w.real), float(w.imag)
+    elif y == 0.0:
+        m = min(ax, 30.0)
+        k = float(np.exp(-(m * m)))
+        l = _TWO_OVER_SQRT_PI * _dawson_point(ax, params.n_d)
     else:
-        w = _laplace_point(complex(ax, y), n)
-        k, l = w.real, w.imag
+        x2 = ax * ax
+        ex = float(np.exp(-x2))
+        q = _ONE_OVER_SQRT_PI * q_point(ax)
+        sums = []
+        for coeffs in fold:  # alpha, beta, gamma, then their primed partners
+            it = reversed(coeffs)
+            acc = next(it, 0.0)
+            for c in it:
+                acc = acc * x2 + c
+            sums.append(acc)
+        a, b, g, a_p, b_p, g_p = sums
+        k = q * a_p + ex * b_p + _ONE_OVER_SQRT_PI * g_p
+        # x factored out: three products fewer, and a subnormal L rounds once
+        l = ax * (q * a + ex * b + _ONE_OVER_SQRT_PI * g)
     if math.copysign(1.0, x) < 0.0:  # L is odd in x
         l = -l
-    return VoigtValue(float(k), float(l))
+    return VoigtValue(k, l)

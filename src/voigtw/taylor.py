@@ -12,11 +12,11 @@ Q is even with Q(0) = 1, so the same sum gives K(0, y) = e^{y^2} erfc y
 and no point needs a division or a special case.  Q comes from the bin
 polynomials of `dawson.dawson_q`, which cover every x inside the
 computing boundary.  x^2, q and exp(-x^2) are shared between K and L.
-One point (`scheme.eval_w`) takes `series_w`, the expressions above on
-floats; arrays take `series_array`, the same operations in the same
-order run in place in one workspace, so both give every point the same
-bits.  The fold is O(N^2) but x-independent; `scheme` keeps it in its
-one per-y record, which batch and scalar calls share.
+Arrays take `series_array`, the expressions above run in place in one
+workspace; one point (`scheme.eval_w`) runs the same operations in the
+same order on Python floats, so both give every point the same bits.
+The fold is O(N^2) but x-independent; `scheme` keeps it in its one per-y
+record, which batch and scalar calls share.
 """
 
 import math
@@ -117,20 +117,10 @@ def build_y_coefficients(y, params):
     )
 
 
-def _horner(coeffs, x2):
-    """Evaluate sum_k coeffs[k] * x2^k at a float x2; no coefficients give 0."""
-    if not coeffs:
-        return 0.0
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * x2 + c
-    return acc
-
-
 def _horner_array(coeffs, x2, out):
-    """`_horner` over an array x2, written into `out`; under two coefficients, its float."""
+    """sum_k coeffs[k] x2^k over an array x2, into `out`; under two coefficients, its float."""
     if len(coeffs) < 2:
-        return _horner(coeffs, x2)
+        return coeffs[0] if coeffs else 0.0
     np.multiply(coeffs[-1], x2, out=out)
     out += coeffs[-2]
     for c in coeffs[-3::-1]:
@@ -139,34 +129,13 @@ def _horner_array(coeffs, x2, out):
     return out
 
 
-def series_w(c, x, q):
-    """K and L of the series from the fold c at one float x >= 0, given Q(x) = D(x)/x.
-
-    x^2, Q(x)/sqrt(pi) and exp(-x^2) are shared between K and L.  Arrays
-    take `series_array`, the same operations in place.  Returns (K, L).
-    """
-    x2 = x * x
-    ex = np.exp(-x2)
-    q = _ONE_OVER_SQRT_PI * q
-    k = (
-        q * _horner(c.alpha_p, x2)
-        + ex * _horner(c.beta_p, x2)
-        + _ONE_OVER_SQRT_PI * _horner(c.gamma_p, x2)
-    )
-    # x factored out: three products fewer, and a subnormal L rounds once
-    l = x * (
-        q * _horner(c.alpha, x2)
-        + ex * _horner(c.beta, x2)
-        + _ONE_OVER_SQRT_PI * _horner(c.gamma, x2)
-    )
-    return k, l
-
-
 def series_array(c, x):
-    """`series_w` over a 1-d array of 0 <= x < Q_TAIL, unchecked, with Q
-    from `dawson_q`.  Its operations run in its order, in place, so every
-    point gets the same bits.  The q A terms come first, then q's buffer
-    holds the other four Horner sums.  x itself is never written.
+    """K and L of the series from the fold c over a 1-d array of
+    0 <= x < Q_TAIL, unchecked, with Q from `dawson_q`.  Each Horner sum
+    runs from the highest degree down; the q A terms come first, then q's
+    buffer holds the other four sums.  Every operation runs in place, and
+    x itself is never written.  `scheme.eval_w` runs these operations in
+    this order on floats, so one point gets the same bits either way.
     """
     q = dawson_q(x)
     x2, ex = np.empty((2, x.size))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import dawson_maclaurin, rel_err, ulps
 from voigtw.dawson import Q_TAIL, _Q_COEFFS, dawson_cf, dawson_q, q_bin, q_point
 from voigtw.oracle import dawson_q_table, ref_dawson
-from voigtw.scheme import _dawson_point, boundary_x_c
-from voigtw.taylor import SeriesParams, build_y_coefficients, eval_w_internal, series_w
+from voigtw.scheme import _dawson_point, boundary_x_c, eval_w, select_params
+from voigtw.taylor import eval_w_internal
 
 
 def test_zero():
@@ -165,11 +165,10 @@ def test_q_within_3_ulp():
 def test_q_at_zero_is_one():
     assert dawson_q(0.0) == 1.0
     assert dawson_q(np.zeros(3)).tolist() == [1.0] * 3
-    assert q_point(0.0, q_bin(0.0)) == 1.0
-    # the series reads that Q: at x = 0 it gives its sums with Q = 1
-    p = SeriesParams(5, 61, 6)
-    k, l = eval_w_internal(np.zeros(3), 0.05, p)
-    k0, l0 = series_w(build_y_coefficients(0.05, p), 0.0, 1.0)
+    assert q_point(0.0) == 1.0
+    # the series reads that Q: at x = 0 both paths give its sums with Q = 1
+    k, l = eval_w_internal(np.zeros(3), 0.05, select_params(0.05))
+    k0, l0 = eval_w(0.0, 0.05)
     assert k.tolist() == [k0] * 3 and l.tolist() == [l0] * 3 == [0.0] * 3
 
 
@@ -179,7 +178,7 @@ def test_q_point_matches_array():
     xs = np.concatenate([edges, np.nextafter(edges[1:], 0), np.nextafter(edges, np.inf),
                          rng.uniform(0.0, Q_TAIL, 2000), [5e-324, np.nextafter(Q_TAIL, 0)]])
     q = dawson_q(xs)
-    assert [q_point(x, q_bin(x)) for x in xs.tolist()] == q.tolist()
+    assert [q_point(x) for x in xs.tolist()] == q.tolist()
     assert np.array_equal(dawson_q(xs[:2000].reshape(40, 50)).ravel(), q[:2000])
     assert dawson_q(np.empty(0)).shape == (0,)
     # the last x below Q_TAIL reads the last bin

@@ -275,6 +275,19 @@ class TestEvalW:
         assert rel_err(k, ref.real) <= 1e-15
         assert rel_err(l, ref.imag) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "x, y, branch",
+        [(2.0, 0.05, "internal"), (2.0, 5e-324, "internal"), (0.0, 0.05, "internal"),
+         (30.0, 0.05, "external"), (100.0, 5e-324, "external"), (3.0, 0.0, "axis"), (0.0, 0.0, "axis")],
+    )
+    def test_returns_python_floats(self, x, y, branch):
+        # the scalar path runs on floats to the end: np.float64 is a float
+        # subclass, so only the exact type tells it apart
+        for sx in (x, -x):
+            assert point_branch(sx, y)[0] == branch
+            k, l = eval_w(sx, y)
+            assert type(k) is float and type(l) is float, (sx, y)
+
     def test_rejects_y_outside(self):
         with pytest.raises(ValueError):
             eval_w(1.0, 0.2)
@@ -338,6 +351,21 @@ class TestBatch:
                 for i, x in enumerate(xs):
                     ks, ls = eval_w(float(x), y)
                     assert ks == kb[i] and ls == lb[i], (x, y)
+
+    @pytest.mark.parametrize("i", range(len(_PARAM_BANDS[1e-16])))
+    def test_batch_matches_pointwise_at_band_edges(self, i):
+        # N changes at a band's lower edge, so the edge and the y just below
+        # it give the Horner loops every fold length they see
+        edge = _PARAM_BANDS[1e-16][i][0]
+        below = float(np.nextafter(edge, 0))
+        assert select_params(edge).n == i + 1 and select_params(below).n == max(i, 1)
+        for y in (edge, below):
+            x_c = boundary_x_c(y)
+            xs = np.r_[0.0, 5e-324, np.arange(0.0, x_c, 0.25), np.nextafter(x_c, 0)]
+            xs = np.r_[xs, -xs]
+            k, l = eval_w_batch(xs, y)
+            point = [eval_w(float(x), y) for x in xs]
+            assert _bits(point).tolist() == _bits(np.c_[k, l]).tolist(), y
 
     @pytest.mark.parametrize("y, x", [(0.0, 2.0), (0.05, 2.0), (0.05, 30.0), (1e-8, 0.0)])
     def test_outputs_are_contiguous_arrays_of_xs_shape(self, y, x):

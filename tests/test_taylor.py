@@ -6,10 +6,10 @@ import pytest
 
 from conftest import rel_err, ulps
 from voigtw.coeffs import get_tables
-from voigtw.dawson import Q_TAIL, _Q_COEFFS, q_bin, q_point
+from voigtw.dawson import Q_TAIL, _Q_COEFFS
 from voigtw.oracle import ref_dawson, ref_erfcx, ref_w
 from voigtw.scheme import _y_record, boundary_x_c, eval_w, eval_w_batch, select_params
-from voigtw.taylor import SeriesParams, build_y_coefficients, eval_w_internal, series_w
+from voigtw.taylor import SeriesParams, build_y_coefficients, eval_w_internal
 
 P16 = SeriesParams(n=4, n_d=61, n_c=6)
 
@@ -191,14 +191,14 @@ def test_array_kernel_at_loop_edges(y, n):
     assert params.n == n
     x_c = boundary_x_c(y) if y else 6.0
     xs = np.random.default_rng(n).uniform(-x_c, x_c, 16387)
-    fold = build_y_coefficients(y, params)
-    point = []
-    for x in xs.tolist():
-        ax = abs(x)
-        k, l = series_w(fold, ax, q_point(ax, q_bin(ax)))
-        point.append((k, -l if x < 0 else l))
-    point = np.array(point).view(np.uint64)
     batch_point = np.array([eval_w(x, y) for x in xs.tolist()]).view(np.uint64)
+    # off the axis every x takes the series, so eval_w's floats are the
+    # series'; at y = 0 eval_w takes the axis, and the series is held to
+    # its own full-length call
+    point = batch_point
+    if not y:
+        k, l = eval_w_internal(xs, y, params)
+        point = np.c_[k, l].view(np.uint64)
     for size in [*range(1, 18), 4095, 4096, 4097, 16387]:
         k, l = eval_w_internal(xs[:size], y, params)
         assert np.array_equal(np.c_[k, l].view(np.uint64), point[:size]), size
