@@ -10,7 +10,12 @@ itself never restricts its domain.
 The depth N is one integer for the whole call or one per point.  Points
 are ordered deepest first (`deepest_first`), so level k updates, in
 place, the prefix of points whose depth is at least k; every point sees
-exactly the levels and arithmetic of its own depth-N fraction.
+exactly the levels and arithmetic of its own depth-N fraction.  That
+level loop, `run_levels`, is the only one: `laplace_w` runs it on a
+gathered copy of z, and the evaluator's external branch
+(`scheme._external`) on complex views of one float64 block per call,
+from which it writes K and L straight into its outputs; `scheme` says
+why one block (page faults).
 """
 
 import math
@@ -59,6 +64,29 @@ def deepest_first(n, shape):
     return order, top, joins
 
 
+def run_levels(z, t, order, top, joins):
+    """The fraction at the points z, ordered and cut as `deepest_first` gave.
+
+    z holds the points deepest first, and t, like z, is the workspace;
+    both are contiguous complex128.  Level k is t = z - (k/2)/t over
+    the points of depth >= k.  Returns w in the points' own order: t,
+    or z, overwritten, when `order` sorted them.
+    """
+    np.copyto(t, z)
+    u = np.empty_like(t) if t.size <= _OWN_QUOTIENT_MAX else t
+    for k in range(top, 0, -1):
+        if k in joins:
+            m = joins[k]
+            th, uh, zh = t[:m], u[:m], z[:m]
+        np.divide(0.5 * k, th, out=uh)
+        np.subtract(zh, uh, out=th)
+    np.divide(_I_SQRT_PI, t, out=t)
+    if order is None:
+        return t
+    z[order] = t  # one scatter back, into the spent z
+    return z
+
+
 def laplace_w(z, n_c):
     """Truncated Laplace continued fraction for w(z), depth n_c.
 
@@ -71,20 +99,8 @@ def laplace_w(z, n_c):
     if (z == 0).any():
         raise ValueError("laplace_w is undefined at z = 0")
     zs = z.ravel() if order is None else z.ravel()[order]
-    # t = z - (k/2)/t level by level, the quotient going to u
-    t = zs.copy()
-    u = np.empty_like(t) if t.size <= _OWN_QUOTIENT_MAX else t
-    for k in range(top, 0, -1):
-        if k in joins:
-            m = joins[k]
-            th, uh, zh = t[:m], u[:m], zs[:m]
-        np.divide(0.5 * k, th, out=uh)
-        np.subtract(zh, uh, out=th)
-    np.divide(_I_SQRT_PI, t, out=u)
-    if order is not None:  # one scatter back, into the spent gathered copy
-        zs[order] = u
-        u = zs
-    return u.reshape(z.shape) if z.ndim else complex(u[0])
+    w = run_levels(zs, np.empty_like(zs), order, top, joins)
+    return w.reshape(z.shape) if z.ndim else complex(w[0])
 
 
 def laplace_rel_error(z, n_c, ref):

@@ -37,8 +37,21 @@ dense radius grids and is applied per point as a step function of |x|,
 looked up in 16-per-octave bins keyed by the bits of the float
 (`external_depth`).  |x| <= |z| and the profile never rises, so a point
 gets at least the depth its |z| needs, with no hypot per point.  The
-whole external branch is one Laplace fraction call with one depth per
-point, so batch and scalar evaluation agree bit for bit.
+whole external branch is one run of the Laplace levels with one depth
+per point, so batch and scalar evaluation agree bit for bit.
+
+That run (`_external`) takes every temporary but the sort order from
+one float64 block of five rows of n points, allocated per call, and
+writes K and L straight into the output arrays.  No buffer outlives
+the call.  One block matters for page faults more than for bytes: glibc
+raises its mmap threshold to the largest mmapped chunk freed and its
+trim threshold to twice that, so once one block carries most of a
+call, what the call frees stays below the trim threshold and the heap
+keeps its pages for the next call.  On 16384-point external calls
+(2-vCPU x86 VM, numpy 2.4), separate arrays for z, its gathered copy,
+t and the K and L copies took 114 minor faults a call, a four-row block
+with the key in t's rows 111, and the five-row block 11.  A call with
+no sign bit set in x takes no |x| copy.
 
 The evaluator runs at the one accuracy level float64 can meet, 1e-16.
 The paper's tables for the other levels are kept as data: `boundary_z_c`
@@ -52,7 +65,8 @@ from functools import lru_cache
 import numpy as np
 
 from .dawson import _fraction, dawson_cf, q_bin, q_point
-from .laplace import _I_SQRT_PI, laplace_w
+# perfbench/tracing.py wraps scheme.laplace_w, which this module no longer calls
+from .laplace import _I_SQRT_PI, deepest_first, laplace_w, run_levels  # noqa: F401
 from .taylor import (
     _ONE_OVER_SQRT_PI, SeriesParams, VoigtValue, Y_MAX, build_y_coefficients, series_array,
 )
@@ -185,12 +199,15 @@ def eval_w_batch(xs, y):
     Identical, bit for bit, to mapping eval_w over xs: both read the
     per-y record and every per-point decision (dispatch, fraction depth)
     depends only on that point.  K and L are C-contiguous float64 arrays
-    of xs' shape, 0-d for a scalar xs.
+    of xs' shape, 0-d for a scalar xs.  xs itself is never written.
     """
     xs = np.asarray(xs, dtype=np.float64)
     y = float(y)
     params, fold, x_c = _y_record(y)
-    ax = np.abs(xs).reshape(-1)
+    x = xs.reshape(-1)
+    # a sign bit anywhere, -0.0 included (L keeps its sign), asks for |x|
+    signed = x.view(np.int64).min(initial=0) < 0
+    ax = np.abs(x) if signed else x
     ax_max = ax.max(initial=0.0)  # NaN propagates
     if not math.isfinite(ax_max):
         raise ValueError("x must be finite")
@@ -204,26 +221,47 @@ def eval_w_batch(xs, y):
         # a call on one branch takes no mask, gather or scatter
         k, l = series_array(fold, ax)
     else:
-        internal = ax < x_c
-        if not internal.any():
-            w = _external(ax, y)
-            k, l = w.real.copy(), w.imag.copy()
+        k = np.empty(ax.size)
+        l = np.empty(ax.size)
+        external = ax >= x_c
+        if external.all():  # the mask goes before the kernel takes its block
+            external = slice(None)
         else:
-            k = np.empty_like(ax)
-            l = np.empty_like(ax)
+            internal = ~external
             k[internal], l[internal] = series_array(fold, ax[internal])
-            external = ~internal
-            w = _external(ax[external], y)
-            k[external] = w.real
-            l[external] = w.imag
-    # L is odd in x; negation is exact and keeps the sign of x = -0.0
-    np.negative(l, out=l, where=np.signbit(xs).reshape(-1))
+        _external(ax, y, k, l, external)
+    if signed:  # L is odd in x; negation is exact and keeps the sign of x = -0.0
+        np.negative(l, out=l, where=np.signbit(x))
     return VoigtValue(k.reshape(xs.shape), l.reshape(xs.shape))
 
 
-def _external(ax, y):
-    """The Laplace fraction at x = ax >= 0, each point at the depth its |x| needs."""
-    return laplace_w(ax + 1j * y, external_depth(ax))
+def _external(ax, y, k, l, at):
+    """The Laplace fraction at ax + iy, each point at the depth its ax >= 0 needs.
+
+    Evaluates the points ax[at] and writes their K to k[at] and L to
+    l[at]; at is a boolean mask or slice(None), and k and l are 1-d
+    float64 arrays like ax.  Every temporary but the sort order lives in
+    one float64 block of five rows of n: z and the fraction t are complex
+    views of rows 0-1 and 2-3, row 4 holds the depth key, the int8
+    depths sit in row 0 until z is built and the deepest-first gather in
+    row 2 until t is.  ax is never written.
+    """
+    x = ax[at]
+    n = x.size
+    block = np.empty(5 * n)  # flat: slices cost fewer numpy calls than rows
+    z = block[: 2 * n].view(np.complex128)
+    t = block[2 * n : 4 * n].view(np.complex128)
+    key = block[4 * n :].view(np.int64)  # the depth lookup of `external_depth`
+    np.right_shift(x.view(np.int64), 48, out=key)
+    depth = _EXT_BIN_DEPTH.take(key, out=block.view(np.int8)[:n], mode="clip")
+    order, top, joins = deepest_first(depth, (n,))
+    if order is not None:
+        x = x.take(order, out=block[2 * n : 3 * n], mode="clip")
+    np.copyto(z.real, x)
+    z.imag = y
+    w = run_levels(z, t, order, top, joins)
+    k[at] = w.real
+    l[at] = w.imag
 
 
 # the step profile as lists, for one point's depth without a numpy call

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -411,6 +412,81 @@ class TestBatch:
             ref = ref_w(float(xs[i]), 1e-8)
             assert rel_err(k[i], ref.real) <= 5e-13
             assert rel_err(l[i], ref.imag) <= 2e-15
+
+
+class TestExternalKernel:
+    """The external branch of eval_w_batch, byte for byte against scalar eval_w."""
+
+    YS = (5e-324, 1e-300, 1e-8, 0.1)
+
+    @staticmethod
+    def _check(xs, y):
+        k, l = eval_w_batch(xs, y)
+        point = [eval_w(float(x), y) for x in xs]
+        assert _bits(point).tolist() == _bits(np.c_[k, l]).tolist(), y
+
+    @pytest.mark.parametrize("y", YS)
+    def test_depth_edges_x_c_and_huge_x(self, y):
+        # every depth edge and the x just below it, x_c(y) and the x just
+        # above it, up to |x| = 1e300; all outside x_c, then mixed with
+        # points inside it and signed zeros
+        e = _EXT_DEPTH_EDGES
+        x_c = boundary_x_c(y)
+        xs = np.r_[e, np.nextafter(e, 0), x_c, np.nextafter(x_c, np.inf), 1e5, 1e150, 1e300]
+        outside = xs[xs >= x_c]
+        for signed in (outside, np.r_[outside, -outside], -outside):
+            self._check(signed, y)
+        self._check(np.r_[xs, -xs, 0.0, -0.0, np.nextafter(x_c, 0), 1.0], y)
+
+    @pytest.mark.parametrize("m", [2047, 2048, 2049])
+    @pytest.mark.parametrize("y", YS)
+    def test_own_quotient_edge_sorted_and_one_depth(self, y, m):
+        # m points outside x_c(y), at the most points whose level quotients
+        # get a buffer of their own and either side of it; spread over the
+        # depth steps, or all at depth 4, where no sort runs; each alone,
+        # with random signs, and mixed with points inside x_c
+        rng = np.random.default_rng(m)
+        x_c = boundary_x_c(y)
+        spread = np.exp(rng.uniform(np.log(x_c), np.log(1e5), m))
+        one_depth = rng.uniform(100.0, 288.0, m)
+        assert np.all(external_depth(one_depth) == 4)
+        inside = rng.uniform(0.0, x_c, 50)
+        for ext in (spread, one_depth):
+            signed = ext * rng.choice([-1.0, 1.0], m)
+            self._check(ext, y)
+            self._check(signed, y)
+            self._check(np.r_[inside[:25], signed, -inside[25:]], y)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_inputs_are_never_written(self, sign):
+        # every x outside x_c, so no |x| copy stands between the input and
+        # the kernel when no sign bit is set
+        rng = np.random.default_rng(8)
+        base = sign * np.exp(rng.uniform(np.log(10.0), np.log(4000.0), 96))
+        readonly = base.copy()
+        readonly.setflags(write=False)
+        for xs in (readonly, base[::3], base.reshape(8, 12).T, base.astype(np.float32)):
+            owner = xs if xs.base is None else xs.base
+            before = owner.tobytes()
+            k, l = eval_w_batch(xs, 0.05)
+            assert owner.tobytes() == before
+            point = [eval_w(float(x), 0.05) for x in np.ravel(xs)]
+            assert _bits(point).tolist() == _bits(np.c_[k.ravel(), l.ravel()]).tolist()
+
+    def test_peak_memory_of_one_call(self):
+        # tracemalloc peak of one 16384-point call outside x_c: 1084192 B
+        # before the external branch kept its temporaries in one block
+        # (numpy 2.4.6); this keeps it from growing back
+        y = 1e-3
+        xs = np.exp(np.random.default_rng(3).uniform(np.log(boundary_x_c(y)), np.log(4000.0), 16384))
+        eval_w_batch(xs, y)
+        tracemalloc.start()
+        try:
+            eval_w_batch(xs, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_084_192
 
 
 def test_dispatch_continuity_subset():
