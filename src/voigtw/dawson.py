@@ -27,7 +27,9 @@ evaluated bottom-up (innermost denominator first) at the tabulated
 N_D = 61.  Every partial denominator depends on x only through x^2,
 hence the fraction is exactly odd in x.  Where 4n x^2 would overflow,
 D(x) is 1/(2x) to double precision (the next term is 1/(4x^3)) and used
-directly.
+directly.  `dawson_cf` runs the fraction over arrays and `dawson_point`
+at one float, as `q_point` is `dawson_q` at one float: the same
+operations in the same order, so the same bits.
 """
 
 import math
@@ -36,13 +38,14 @@ import os
 
 import numpy as np
 
-_BINS_PER_UNIT = 4
+#: Bins per unit of x in the polynomial table, which `oracle.dawson_q_table` builds.
+BINS_PER_UNIT = 4
 # _Q_COEFFS[k, i]: the t^k coefficient of bin i
 _Q_COEFFS = np.load(os.path.join(os.path.dirname(__file__), "dawson_q.npy"))
-_Q_CENTRES = (np.arange(_Q_COEFFS.shape[1]) + 0.5) / _BINS_PER_UNIT
+_Q_CENTRES = (np.arange(_Q_COEFFS.shape[1]) + 0.5) / BINS_PER_UNIT
 
 #: The bin polynomials cover [0, Q_TAIL), past x_c(y) at every y > 0.
-Q_TAIL = _Q_COEFFS.shape[1] / _BINS_PER_UNIT
+Q_TAIL = _Q_COEFFS.shape[1] / BINS_PER_UNIT
 
 
 def dawson_q(x):
@@ -54,7 +57,7 @@ def dawson_q(x):
     """
     shape = np.shape(x)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    t = np.multiply(x, _BINS_PER_UNIT)
+    t = np.multiply(x, BINS_PER_UNIT)
     b = t.astype(np.intp)
     _Q_CENTRES.take(b, out=t, mode="clip")
     np.subtract(x, t, out=t)
@@ -77,12 +80,12 @@ _Q_CENTRE_LIST = _Q_CENTRES.tolist()
 
 def q_bin(x):
     """The bin of `dawson_q`'s table holding one float 0 <= x < Q_TAIL."""
-    return int(x * _BINS_PER_UNIT)
+    return int(x * BINS_PER_UNIT)
 
 
 def q_point(x):
     """dawson_q at one float 0 <= x < Q_TAIL, in float arithmetic: the same bits."""
-    i = int(x * _BINS_PER_UNIT)
+    i = int(x * BINS_PER_UNIT)
     t = x - _Q_CENTRE_LIST[i]
     acc, rest = _Q_ROWS[i]
     for c in rest:
@@ -111,8 +114,10 @@ def dawson_cf(x, n_d):
     return out if out.ndim else float(out)
 
 
-def _fraction(x, n):
-    """The depth-n fraction at one float x with 4n x^2 finite."""
+def dawson_point(x, n):
+    """dawson_cf(x, n) at one finite float x, in float arithmetic: the same bits."""
+    if abs(x) >= 6.3e153 / math.sqrt(n):  # 4 n x^2 would overflow
+        return 0.5 / x
     x2 = x * x
     tx2 = 2.0 * x2
     t = (2 * n + 1) + tx2
@@ -122,10 +127,10 @@ def _fraction(x, n):
 
 
 def _fraction_array(x, n):
-    """`_fraction` over an array x, in place in one work buffer.
+    """The depth-n fraction over an array x with 4n x^2 finite, in one work buffer.
 
-    The same operations in the same order, so each point gets the same
-    bits as `_fraction` gives it alone.
+    `dawson_point`'s operations in the same order, so each point gets the
+    same bits as `dawson_point` gives it alone.
     """
     xs = x.ravel()
     x2, tx2, t, s = np.empty((4, xs.size))

@@ -7,18 +7,22 @@ arithmetic.  Convergence collapses for tiny Im(z) at moderate |z|; the
 dispatcher keeps this branch outside the computing boundary, this module
 itself never restricts its domain.
 
-The depth N is one integer for the whole call or one per point.  Points
-are ordered deepest first (`deepest_first`), so level k updates, in
-place, the prefix of points whose depth is at least k; every point sees
-exactly the levels and arithmetic of its own depth-N fraction.  That
-level loop, `run_levels`, is the only one: `laplace_w` runs it on a
-gathered copy of z, and the evaluator's external branch
-(`scheme._external`) on complex views of one float64 block per call,
-from which it writes K and L straight into its outputs; `scheme` says
-why one block (page faults).
+The array level loop, `run_levels`, has two callers.  `laplace_w` runs
+it at one depth for the whole call.  The evaluator's external branch
+(`scheme._external`) gives each point its own depth: `deepest_first`
+orders its points deepest first, so level k updates, in place, the
+prefix of points whose depth is at least k, and every point sees
+exactly the levels and arithmetic of its own depth-N fraction.
+`scheme` says why that branch runs on one float64 block per call (page
+faults).
+
+`laplace_point` is the one-point form, on numpy complex128 scalars: the
+same bits as the array loop.  Python's `complex` division rounds
+differently on about two of five random quotients, and a Smith
+division written in floats, though it matched numpy's bits, cost more.
 """
 
-import math
+import numbers
 
 import numpy as np
 
@@ -31,32 +35,25 @@ _I_SQRT_PI = 1j / np.sqrt(np.pi)
 _OWN_QUOTIENT_MAX = 2048
 
 
-def deepest_first(n, shape):
-    """Order points deepest first for a bottom-up fraction of depth n.
+def deepest_first(depth):
+    """Order a non-empty 1-d int8 row of depths 1..127 deepest first.
 
-    n, laplace_w's n_c, is a positive integer or an integer array of
-    `shape`, one depth per point.  Returns (order, top, joins): order is
-    None when every point has the same depth, else the flat permutation
-    putting deeper points first; top is the greatest depth; joins maps
-    each depth k present to the number m of points of depth >= k, so
-    level k and the levels below it, down to the next join, update the
-    first m ordered points.
+    Returns (order, top, joins): order is None when every point has the
+    same depth, else the permutation putting deeper points first; top is
+    the greatest depth; joins maps each depth k present to the number m
+    of points of depth >= k, so level k and the levels below it, down to
+    the next join, update the first m ordered points.
     """
-    depth = np.asarray(n)
-    if depth.shape not in ((), shape):
-        raise ValueError(f"n_c must be an int or one depth per point, got shape {depth.shape}")
-    lo, top = (int(depth.min()), int(depth.max())) if depth.size else (1, 1)
-    if lo < 1:
-        raise ValueError(f"n_c must be a positive integer, got {n}")
-    if lo == top:  # one depth: no sort
-        return None, top, {top: math.prod(shape)}
-    # a small unsigned key, complemented so that ascending is deepest
-    # first: numpy's stable sort on it is a radix sort, and the order comes
-    # out contiguous, which keeps the gather and the scatter back cheap
-    key = ~depth.ravel().astype(np.min_scalar_type(top), copy=False)
+    top = int(depth.max())
+    if depth.min() == top:  # one depth: no sort
+        return None, top, {top: depth.size}
+    # a one-byte key, complemented so that ascending is deepest first:
+    # numpy's stable sort on it is a radix sort, and the order comes out
+    # contiguous, which keeps the gather and the scatter back cheap
+    key = ~depth.view(np.uint8)
     order = np.argsort(key, kind="stable")
     # the points of depth >= k lead the order: find where they end in the sorted keys
-    ends = np.searchsorted(key, ~np.arange(top, 0, -1, dtype=key.dtype), "right", order).tolist()
+    ends = np.searchsorted(key, ~np.arange(top, 0, -1, dtype=np.uint8), "right", order).tolist()
     joins, m = {}, 0
     for k, end in zip(range(top, 0, -1), ends):
         if end > m:
@@ -87,19 +84,28 @@ def run_levels(z, t, order, top, joins):
     return z
 
 
+def laplace_point(z, n):
+    """laplace_w(z, n) at one complex z != 0, on numpy complex128 scalars."""
+    z = t = np.complex128(z)
+    for k in range(n, 0, -1):
+        t = z - (0.5 * k) / t
+    return _I_SQRT_PI / t
+
+
 def laplace_w(z, n_c):
     """Truncated Laplace continued fraction for w(z), depth n_c.
 
-    z may be a complex scalar or ndarray; n_c is a positive integer, or an
-    integer array of z's shape giving each point its own depth.  z = 0 is
-    rejected (the leading denominator vanishes).
+    z may be a complex scalar or ndarray; n_c is one positive integer for
+    the whole call.  z = 0 is rejected (the leading denominator vanishes).
     """
+    if not isinstance(n_c, numbers.Integral) or n_c < 1:
+        raise ValueError(f"n_c must be a positive integer, got {n_c!r}")
+    n_c = int(n_c)
     z = np.asarray(z, dtype=np.complex128)
-    order, top, joins = deepest_first(n_c, z.shape)
     if (z == 0).any():
         raise ValueError("laplace_w is undefined at z = 0")
-    zs = z.ravel() if order is None else z.ravel()[order]
-    w = run_levels(zs, np.empty_like(zs), order, top, joins)
+    zs = z.ravel()
+    w = run_levels(zs, np.empty_like(zs), None, n_c, {n_c: zs.size})
     return w.reshape(z.shape) if z.ndim else complex(w[0])
 
 

@@ -66,12 +66,12 @@ def dawson_q_table(bins=range(326)):
     """
     import numpy as np
 
-    from .dawson import _BINS_PER_UNIT
+    from .dawson import BINS_PER_UNIT
 
     n = _Q_DEGREE + 1
     table = np.empty((n, len(bins)))
     with mp.workdps(_Q_DPS):
-        h = 1 / mp.mpf(2 * _BINS_PER_UNIT)
+        h = 1 / mp.mpf(2 * BINS_PER_UNIT)
         t = [h * mp.cos(mp.pi * (j + mp.mpf(1) / 2) / n) for j in range(n)]
         vandermonde = mp.matrix([[tj**k for k in range(n)] for tj in t])
         for col, i in enumerate(bins):

@@ -23,11 +23,9 @@ sums, as IEEE + - * / round alike on floats and arrays and neither side
 fuses a multiply with an add.  exp(-x^2) stays `np.exp`'s (`math.exp`
 differs on about 4% of arguments in [-745, 0], an AVX-512 build), taken
 as a float at once so no numpy scalar arithmetic follows.  The axis
-runs the Dawson fraction on floats.  The Laplace fraction stays on
-complex128 scalars: Python's `complex` division rounds differently on
-about two of five random quotients, and a Smith division written in
-floats, though it matched numpy's bits, cost more than the numpy scalar
-one.
+and the external branch call the fractions' one-point forms,
+`dawson.dawson_point` on floats and `laplace.laplace_point` on
+complex128 scalars; each lives next to its array form.
 
 The external depth deserves a note.  Close to z_c(y) the fraction needs
 more levels than the paper's N_C = 6 (about 19 at |z| ~ 6.65, falling to
@@ -64,11 +62,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dawson import _fraction, dawson_cf, q_bin, q_point
-# perfbench/tracing.py wraps scheme.laplace_w, which this module no longer calls
-from .laplace import _I_SQRT_PI, deepest_first, laplace_w, run_levels  # noqa: F401
+from .dawson import dawson_cf, dawson_point, q_bin, q_point
+from .laplace import deepest_first, laplace_point, run_levels
 from .taylor import (
-    _ONE_OVER_SQRT_PI, SeriesParams, VoigtValue, Y_MAX, build_y_coefficients, series_array,
+    ONE_OVER_SQRT_PI, SeriesParams, VoigtValue, Y_MAX, build_y_coefficients, series_array,
 )
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -254,7 +251,7 @@ def _external(ax, y, k, l, at):
     key = block[4 * n :].view(np.int64)  # the depth lookup of `external_depth`
     np.right_shift(x.view(np.int64), 48, out=key)
     depth = _EXT_BIN_DEPTH.take(key, out=block.view(np.int8)[:n], mode="clip")
-    order, top, joins = deepest_first(depth, (n,))
+    order, top, joins = deepest_first(depth)
     if order is not None:
         x = x.take(order, out=block[2 * n : 3 * n], mode="clip")
     np.copyto(z.real, x)
@@ -293,21 +290,6 @@ def _point_depth(ax):
     return _EXT_DEPTH_LIST[bisect_right(_EXT_EDGE_LIST, ax)]
 
 
-def _dawson_point(x, n):
-    """dawson_cf(x, n) at one finite float x, in float arithmetic."""
-    if abs(x) >= 6.3e153 / math.sqrt(n):  # 4 n x^2 would overflow
-        return 0.5 / x
-    return _fraction(x, n)
-
-
-def _laplace_point(z, n):
-    """laplace_w(z, n) at one complex z != 0, on numpy complex128 scalars."""
-    z = t = np.complex128(z)
-    for k in range(n, 0, -1):
-        t = z - (0.5 * k) / t
-    return _I_SQRT_PI / t
-
-
 def point_branch(x, y):
     """The branch eval_w(x, y) takes, and the evaluator it runs there.
 
@@ -341,16 +323,16 @@ def eval_w(x, y):
     x = float(x)
     ax = abs(x)
     if not ax < x_c:  # x_c is inf at y = 0: inf and NaN come here
-        w = _laplace_point(complex(ax, y), _point_depth(ax))
+        w = laplace_point(complex(ax, y), _point_depth(ax))
         k, l = float(w.real), float(w.imag)
     elif y == 0.0:
         m = min(ax, 30.0)
         k = float(np.exp(-(m * m)))
-        l = _TWO_OVER_SQRT_PI * _dawson_point(ax, params.n_d)
+        l = _TWO_OVER_SQRT_PI * dawson_point(ax, params.n_d)
     else:
         x2 = ax * ax
         ex = float(np.exp(-x2))
-        q = _ONE_OVER_SQRT_PI * q_point(ax)
+        q = ONE_OVER_SQRT_PI * q_point(ax)
         sums = []
         for coeffs in fold:  # alpha, beta, gamma, then their primed partners
             it = reversed(coeffs)
@@ -359,9 +341,9 @@ def eval_w(x, y):
                 acc = acc * x2 + c
             sums.append(acc)
         a, b, g, a_p, b_p, g_p = sums
-        k = q * a_p + ex * b_p + _ONE_OVER_SQRT_PI * g_p
+        k = q * a_p + ex * b_p + ONE_OVER_SQRT_PI * g_p
         # x factored out: three products fewer, and a subnormal L rounds once
-        l = ax * (q * a + ex * b + _ONE_OVER_SQRT_PI * g)
+        l = ax * (q * a + ex * b + ONE_OVER_SQRT_PI * g)
     if math.copysign(1.0, x) < 0.0:  # L is odd in x
         l = -l
     return VoigtValue(k, l)

@@ -27,7 +27,7 @@ import numpy as np
 from .coeffs import DEFAULT_M_MAX, get_tables
 from .dawson import Q_TAIL, dawson_q
 
-_ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
+ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 Y_MAX = 0.1
 
@@ -141,7 +141,7 @@ def series_array(c, x):
     x2, ex = np.empty((2, x.size))
     np.multiply(x, x, out=x2)
     np.exp(np.negative(x2, out=ex), out=ex)
-    q *= _ONE_OVER_SQRT_PI
+    q *= ONE_OVER_SQRT_PI
     k = np.empty_like(x2)
     l = np.empty_like(x2)
     for a, out in ((c.alpha_p, k), (c.alpha, l)):
@@ -149,7 +149,7 @@ def series_array(c, x):
     acc = q
     for b, g, out in ((c.beta_p, c.gamma_p, k), (c.beta, c.gamma, l)):
         out += np.multiply(ex, _horner_array(b, x2, acc), out=acc)
-        out += np.multiply(_ONE_OVER_SQRT_PI, _horner_array(g, x2, acc), out=acc)
+        out += np.multiply(ONE_OVER_SQRT_PI, _horner_array(g, x2, acc), out=acc)
     l *= x
     return k, l
 

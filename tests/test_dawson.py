@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dawson_maclaurin, rel_err, ulps
-from voigtw.dawson import Q_TAIL, _Q_COEFFS, dawson_cf, dawson_q, q_bin, q_point
+from voigtw.dawson import Q_TAIL, _Q_COEFFS, dawson_cf, dawson_point, dawson_q, q_bin, q_point
 from voigtw.oracle import dawson_q_table, ref_dawson
-from voigtw.scheme import _dawson_point, boundary_x_c, eval_w, select_params
+from voigtw.scheme import boundary_x_c, eval_w, select_params
 from voigtw.taylor import eval_w_internal
 
 
@@ -66,7 +66,7 @@ def test_vectorized_matches_scalar():
     xs = np.array([0.3, 1.7, 9.2])
     vec = dawson_cf(xs, 61)
     for i, x in enumerate(xs.tolist()):
-        assert vec[i] == dawson_cf(x, 61) == _dawson_point(x, 61)
+        assert vec[i] == dawson_cf(x, 61) == dawson_point(x, 61)
 
 
 @pytest.mark.parametrize("n_d", [1, 61, 344])
@@ -79,7 +79,7 @@ def test_huge_x_finite_and_asymptotic(n_d):
         vec = dawson_cf(np.r_[xs, 0.0, 1.0], n_d)
         for i, x in enumerate(xs):
             d = dawson_cf(float(x), n_d)
-            assert d == vec[i] == _dawson_point(float(x), n_d)
+            assert d == vec[i] == dawson_point(float(x), n_d)
             assert rel_err(d, 0.5 / x) <= ulps(1)
     assert vec[-2] == 0.0 and vec[-1] == dawson_cf(1.0, n_d)
 
@@ -103,7 +103,7 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
     xs = rng.uniform(-25, 25, 8)
     for n in range(1, 345):
         d = dawson_cf(xs, n)
-        assert [_dawson_point(float(x), n) for x in xs] == d.tolist(), n
+        assert [dawson_point(float(x), n) for x in xs] == d.tolist(), n
         assert dawson_cf(float(xs[n % 8]), n) == d[n % 8]
     # a 2-D and an empty call
     assert np.array_equal(dawson_cf(xs.reshape(2, 4), 61).ravel(), dawson_cf(xs, 61))
@@ -122,7 +122,7 @@ def test_huge_x_per_point_depths():
             warnings.simplefilter("error")
             d = dawson_cf(xs, n)
             for x, got in zip(xs.tolist(), d.tolist()):
-                assert got == dawson_cf(x, n) == _dawson_point(x, n), (x, n)
+                assert got == dawson_cf(x, n) == dawson_point(x, n), (x, n)
 
 
 def test_rejects_bad_per_point_depth():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from voigtw.laplace import deepest_first, laplace_rel_error, laplace_w
+from voigtw.laplace import deepest_first, laplace_point, laplace_rel_error, laplace_w
 from voigtw.oracle import ref_w
-from voigtw.scheme import _laplace_point, boundary_z_c, external_depth
+from voigtw.scheme import boundary_z_c, external_depth
 
 
 def test_large_z_leading_term():
@@ -33,7 +33,7 @@ def test_conjugate_parity_exact():
 def test_vectorized_matches_scalar():
     zs = np.array([25 + 0.1j, 300 + 1e-8j])
     vec = laplace_w(zs, 6)
-    assert all(vec[i] == laplace_w(complex(zs[i]), 6) == _laplace_point(zs[i], 6) for i in range(2))
+    assert all(vec[i] == laplace_w(complex(zs[i]), 6) == laplace_point(zs[i], 6) for i in range(2))
 
 
 def test_rejects_zero_and_bad_depth():
@@ -41,12 +41,12 @@ def test_rejects_zero_and_bad_depth():
     with pytest.raises(ValueError):
         laplace_w(0j, 6)
     with pytest.raises(ValueError):
-        laplace_w(zs * [1, 0, 1], np.array([6, 7, 8]))
-    with pytest.raises(ValueError):
-        laplace_w(1 + 1j, 0)
-    for bad in ([6, 0, 6], [6, -3, 9]):
-        with pytest.raises(ValueError):
-            laplace_w(zs, np.array(bad))
+        laplace_w(zs * [1, 0, 1], 6)
+    # the fraction takes one positive integer depth for the whole call
+    for bad in (6.5, 6.0, 0, -3, np.array([6, 7, 8])):
+        with pytest.raises(ValueError, match="n_c"):
+            laplace_w(zs, bad)
+    assert np.array_equal(laplace_w(zs, np.int64(6)), laplace_w(zs, 6))
 
 
 def test_per_point_depth_matches_scalar_depth_bitwise():
@@ -60,33 +60,40 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
     tiny = np.exp(rng.uniform(np.log(5e-324), np.log(0.1), 400))
     zs = np.r_[zs, far + 1j * tiny, [1e300 + 5e-324j, -7.0 + 5e-324j]]
     depths = np.r_[depths, rng.integers(1, 66, 400), 65, 21]
-    # the array kernel against the scalar evaluator's complex128 loop
-    w = laplace_w(zs, depths)
-    for z, d, got in zip(zs, depths, w):
-        assert got == _laplace_point(complex(z), int(d)), (z, d)
-    # a short call takes its quotients in a buffer of their own, a long one
-    # in place; a one-element call gives the batch's value
-    assert np.array_equal(laplace_w(zs[:200], depths[:200]), w[:200])
-    for i in range(0, zs.size, 97):
-        assert laplace_w(complex(zs[i]), int(depths[i])) == w[i]
-    assert laplace_w(np.empty(0, dtype=complex), np.empty(0, dtype=int)).shape == (0,)
+    # one depth per call, the array kernel against the scalar evaluator's
+    # complex128 loop at the points drawn for that depth
+    for d in range(1, 66):
+        w = laplace_w(zs, d)
+        for i in np.flatnonzero(depths == d):
+            assert w[i] == laplace_point(complex(zs[i]), d), (zs[i], d)
+        # a short call takes its quotients in a buffer of their own, a long
+        # one in place; a one-element call gives the batch's value
+        assert np.array_equal(laplace_w(zs[:200], d), w[:200])
+        for i in range(d, zs.size, 97):
+            assert laplace_w(complex(zs[i]), d) == w[i]
+    assert laplace_w(np.empty(0, dtype=complex), 6).shape == (0,)
 
 
 def test_deepest_first_joins_match_bincount():
+    # the external branch's rows: int8, depths 1..21, never empty
     rng = np.random.default_rng(8)
+    rows = [np.full(1, 7, np.int8), np.full(50, 21, np.int8),
+            rng.integers(1, 22, 16384).astype(np.int8)]
     for _ in range(200):
-        top = int(rng.integers(1, 300))
         size = int(rng.integers(1, 60))
-        depth = rng.choice(rng.integers(1, top + 1, rng.integers(1, 6)), size)
-        order, deepest, joins = deepest_first(depth, depth.shape)
+        rows.append(rng.choice(rng.integers(1, 22, rng.integers(1, 6)), size).astype(np.int8))
+    for depth in rows:
+        order, deepest, joins = deepest_first(depth)
         counts, want, m = np.bincount(depth), {}, 0
         for k in range(depth.max(), 0, -1):
             if counts[k]:
                 m += counts[k]
                 want[k] = m
         assert deepest == depth.max() and joins == want
-        if order is not None:
-            assert np.all(np.diff(depth[order]) <= 0)
+        if order is None:
+            assert depth.min() == depth.max()
+        else:
+            assert np.array_equal(order, np.argsort(~depth.astype(np.uint8), kind="stable"))
 
 
 class TestRelError:

@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -41,3 +43,20 @@ def test_evaluation_stays_off_mpmath_and_dataclasses():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert run.stdout.strip() == "[]"
+
+
+def test_no_private_name_crosses_modules():
+    # a module's _names are its own: no `from .module import _name` in the package
+    src = os.path.dirname(voigtw.__file__)
+    crossing = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("voigtw")):
+                crossing += [
+                    f"{os.path.basename(path)}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert crossing == []
