@@ -170,35 +170,39 @@ def cmd_bench(args):
 
 _BOUNDARY_EPS_RANGE = (1e-13, 1e-6)
 _BOUNDARY_DEPTH_GRID = tuple(range(2, 42, 2))
+_BOUNDARY_R_LO, _BOUNDARY_R_HI = 1.0, 30.0
+_BOUNDARY_TOL = 0.005
 
 
-def best_laplace_error(r, y, extra_depth):
-    """Smallest achievable Delta_C at radius r, minimized over a depth grid.
+def best_laplace_error(r, y):
+    """Smallest achievable Delta_C at radius r, minimized over the depths 2, 4, ..., 40.
 
     Measured against the oracle, never against the internal branch.
     """
     x = float(np.sqrt(r * r - y * y))
     ref = complex(ref_w(x, y))
     z = complex(x, y)
-    depths = set(_BOUNDARY_DEPTH_GRID) | {extra_depth}
-    return min(laplace_rel_error(z, n, ref) for n in sorted(depths))
+    return min(laplace_rel_error(z, n, ref) for n in _BOUNDARY_DEPTH_GRID)
 
 
-def find_boundary(y, eps, r_lo=1.0, r_hi=30.0, tol=0.005):
-    """Empirical z_c: bisection for the smallest radius with Delta_C <= eps."""
+def find_boundary(y, eps):
+    """Empirical z_c: bisection for the smallest radius with Delta_C <= eps.
+
+    The bracket starts at the radii [1, 30] and stops 0.005 wide; raises
+    if Delta_C exceeds eps even at radius 30.
+    """
     if not 0.0 < y <= Y_MAX:
         raise ValueError(f"y must lie in (0, {Y_MAX}], got {y}")
     if not _BOUNDARY_EPS_RANGE[0] <= eps <= _BOUNDARY_EPS_RANGE[1]:
         raise ValueError(
             f"eps must lie in [{_BOUNDARY_EPS_RANGE[0]}, {_BOUNDARY_EPS_RANGE[1]}]"
         )
-    n_c = select_params(y, 1e-16).n_c
-    if best_laplace_error(r_hi, y, n_c) > eps:
-        raise ValueError(f"Delta_C above {eps} everywhere up to r={r_hi}")
-    lo, hi = r_lo, r_hi
-    while hi - lo > tol:
+    if best_laplace_error(_BOUNDARY_R_HI, y) > eps:
+        raise ValueError(f"Delta_C above {eps} everywhere up to r={_BOUNDARY_R_HI}")
+    lo, hi = _BOUNDARY_R_LO, _BOUNDARY_R_HI
+    while hi - lo > _BOUNDARY_TOL:
         mid = 0.5 * (lo + hi)
-        if best_laplace_error(mid, y, n_c) <= eps:
+        if best_laplace_error(mid, y) <= eps:
             hi = mid
         else:
             lo = mid

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import mpmath as mp
 
 _BASE_DPS = 40
+_QUAD_DPS = 35  # quad_w's working precision
 # Hard ceiling on the escalated working precision: enough for every point
 # the evaluator accepts, where exp(-z^2) costs up to 617 digits at
 # |z| = 1.8e308 and the small component lies up to 632 orders of
@@ -127,9 +128,9 @@ def _laplace_error(x, y, n, ref):
         return max(abs(w.real - ref.real) / abs(ref.real), abs(w.imag - ref.imag) / abs(ref.imag))
 
 
-def ref_erfcx(y, dps=_BASE_DPS):
+def ref_erfcx(y):
     """High-precision scaled complementary error function exp(y^2) erfc(y)."""
-    with mp.workdps(dps):
+    with mp.workdps(_BASE_DPS):
         ym = mp.mpf(y)
         return mp.exp(ym * ym) * mp.erfc(ym)
 
@@ -182,13 +183,13 @@ def ref_w(x, y):
     )
 
 
-def quad_w(x, y, dps=35, maxdegree=6, t_max=None):
-    """w(x + iy) by quadrature of the defining integrals, x >= 0.
+def quad_w(x, y, maxdegree=6):
+    """w(x + iy) by quadrature of the defining integrals, x >= 0, at 35 digits.
 
     The t range is cut where the Gaussian damping underflows the target
     and split into oscillation half-periods of cos(xt)/sin(xt) so each
     panel is smooth.  Raises OracleError if the quadrature error estimate
-    exceeds the requested accuracy.
+    exceeds 1e-27 relative to the larger component.
     """
     if x < 0:
         raise ValueError("quad_w requires x >= 0")
@@ -197,11 +198,10 @@ def quad_w(x, y, dps=35, maxdegree=6, t_max=None):
     if maxdegree < 2:
         # a single refinement level yields no error estimate at all
         raise ValueError("maxdegree must be >= 2")
-    with mp.workdps(dps):
+    with mp.workdps(_QUAD_DPS):
         xm, ym = mp.mpf(x), mp.mpf(y)
-        if t_max is None:
-            # exp(-T^2/4) below the target precision with margin
-            t_max = 2 * mp.sqrt((dps + 10) * mp.log(10))
+        # exp(-T^2/4) below the target precision with margin
+        t_max = 2 * mp.sqrt((_QUAD_DPS + 10) * mp.log(10))
         points = [mp.mpf(0)]
         if x > 0:
             half = mp.pi / xm
@@ -226,7 +226,7 @@ def quad_w(x, y, dps=35, maxdegree=6, t_max=None):
         )
         k_val *= inv_sqrt_pi
         l_val *= inv_sqrt_pi
-        tol = mp.mpf(10) ** (-(dps - 8))
+        tol = mp.mpf(10) ** (-(_QUAD_DPS - 8))
         scale = max(abs(k_val), abs(l_val), mp.mpf(10) ** -50)
         if k_err > tol * scale or l_err > tol * scale:
             raise OracleError(
@@ -241,10 +241,9 @@ class ErrorReport(NamedTuple):
 
     delta_re: float
     delta_im: float
-    point: tuple
 
 
-def rel_errors(approx, ref, point=(None, None)):
+def rel_errors(approx, ref):
     """Componentwise |approx - ref| / |ref|, computed in multiprecision."""
     ref = mp.mpc(ref)
     if ref.real == 0 or ref.imag == 0:
@@ -253,5 +252,4 @@ def rel_errors(approx, ref, point=(None, None)):
     return ErrorReport(
         delta_re=float(abs(approx.real - ref.real) / abs(ref.real)),
         delta_im=float(abs(approx.imag - ref.imag) / abs(ref.imag)),
-        point=tuple(point),
     )

@@ -45,15 +45,12 @@ the call.  One block matters for page faults more than for bytes: glibc
 raises its mmap threshold to the largest mmapped chunk freed and its
 trim threshold to twice that, so once one block carries most of a
 call, what the call frees stays below the trim threshold and the heap
-keeps its pages for the next call.  On 16384-point external calls
-(2-vCPU x86 VM, numpy 2.4), separate arrays for z, its gathered copy,
-t and the K and L copies took 114 minor faults a call, a four-row block
-with the key in t's rows 111, and the five-row block 11.  A call with
-no sign bit set in x takes no |x| copy.
+keeps its pages for the next call.  A call with no sign bit set in x
+takes no |x| copy.
 
 The evaluator runs at the one accuracy level float64 can meet, 1e-16.
-The paper's tables for the other levels are kept as data: `boundary_z_c`
-and `select_params` still look them up by level.
+The paper's 1e-100 boundary cubic and bands are kept as data:
+`boundary_z_c` and `select_params` look up the same two levels.
 """
 
 import math
@@ -73,10 +70,6 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 # z_c(y) = c0 + c1 u + c2 u^2 + c3 u^3 with u = ln y, per accuracy level
 _BOUNDARY_CUBICS = {
     1e-16: (6.4908, -6.9856e-2, -1.8237e-4, -3.0026e-7),
-    1e-20: (7.1461, -6.5589e-2, -1.6308e-4, -2.6500e-7),
-    1e-40: (9.8625, -5.0156e-2, -9.3640e-5, -1.3861e-7),
-    1e-60: (11.9611, -4.2288e-2, -6.5582e-5, -9.4912e-8),
-    1e-80: (13.7687, -3.6042e-2, -3.6111e-5, -3.1788e-8),
     1e-100: (15.3784, -3.1655e-2, -1.9984e-5, -2.0282e-9),
 }
 
@@ -135,7 +128,7 @@ _EXT_BIN_DEPTH = np.repeat(_EXT_DEPTHS, np.diff([0, *_ext_keys, _ext_keys[-1] + 
 
 
 def boundary_z_c(y, level=1e-16):
-    """Computing boundary z_c(y) for the selected accuracy level."""
+    """Computing boundary z_c(y) at accuracy level 1e-16 or 1e-100; any other level raises."""
     if level not in _BOUNDARY_CUBICS:
         raise ValueError(f"unknown accuracy level {level!r}")
     if not 0.0 < y <= Y_MAX:
@@ -163,7 +156,7 @@ def boundary_x_c(y):
 
 
 def select_params(y, level=1e-16):
-    """Truncation triple (N, N_D, N_C) for y from the calibrated band table."""
+    """Truncation triple (N, N_D, N_C) for y from the bands of level 1e-16 or 1e-100."""
     bands = _PARAM_BANDS.get(level)
     if bands is None:
         raise ValueError(f"no parameter table for accuracy level {level!r}")
@@ -183,9 +176,13 @@ def external_depth(r):
 
     Returns an int for a scalar r, else an int8 array of r's shape.  Every
     edge lies on the bin grid, so each bin decision is the one the edges
-    make; inf takes the last step.
+    make; inf takes the last step and -0.0 counts as 0.  Raises
+    ValueError unless every r >= 0; NaN fails that test.
     """
-    key = np.asarray(r, dtype=np.float64).view(np.int64) >> 48
+    r = np.asarray(r, dtype=np.float64)
+    if not (r >= 0.0).all():
+        raise ValueError("r must be >= 0")
+    key = r.view(np.int64) >> 48
     out = _EXT_BIN_DEPTH.take(key, mode="clip")
     return out if out.ndim else int(out)
 

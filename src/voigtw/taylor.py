@@ -73,16 +73,13 @@ def build_y_coefficients(y, params):
         raise ValueError(f"N must lie in 0..{DEFAULT_M_MAX}, got {n_max!r}")
     tables = get_tables()
     y = float(y)
-    y2 = y * y
 
-    # even[m] = y^(2m)/(2m)!,  odd[m] = y^(2m+1)/(2m+1)!,
-    # evm1[m] = y^(2m-1)/(2m-1)!  (evm1[0] unused, sign(0) = 0)
+    # even[m] = y^(2m)/(2m)!,  odd[m] = y^(2m+1)/(2m+1)!; the primed sums
+    # read y^(2m-1)/(2m-1)! as odd[m - 1]
     even = [1.0]
     odd = [y]
-    evm1 = [0.0]
     for m in range(1, n_max + 1):
-        evm1.append(even[m - 1] * y / (2 * m - 1))
-        even.append(evm1[m] * y / (2 * m))
+        even.append(odd[m - 1] * y / (2 * m))
         odd.append(even[m] * y / (2 * m + 1))
 
     p, q, h = tables.p_rows, tables.q_rows, tables.h_rows
@@ -99,11 +96,11 @@ def build_y_coefficients(y, params):
             b += sgn * hmn * odd[m]
             bp += sgn * hmn * even[m]
             if m >= 1:
-                ap += pmn * evm1[m]
+                ap += pmn * odd[m - 1]
             if m >= n + 1:
                 qmn = float(q[m][n])
                 g += qmn * even[m]
-                gp += qmn * evm1[m]
+                gp += qmn * odd[m - 1]
         alpha.append(a)
         beta.append(b)
         alpha_p.append(y * a - 0.5 * ap)

@@ -60,3 +60,32 @@ def test_no_private_name_crosses_modules():
                     if alias.name.startswith("_")
                 ]
     assert crossing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # every name a module imports is loaded somewhere in it; __init__
+    # imports to re-export, so it is left out
+    src = os.path.dirname(voigtw.__file__)
+    unused = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{os.path.basename(path)}:{line}: {name}"
+            for name, line in sorted(imported.items())
+            if name not in loaded
+        ]
+    assert unused == []

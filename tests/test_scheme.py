@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import rel_err
 from voigtw.laplace import laplace_w
 from voigtw.scheme import (
+    _BOUNDARY_CUBICS,
     _EXT_DEPTH_EDGES,
     _EXT_DEPTHS,
     _PARAM_BANDS,
@@ -84,6 +85,18 @@ class TestSelectParams:
     def test_rejects_level_without_table(self):
         with pytest.raises(ValueError):
             select_params(0.05, 1e-40)
+
+
+def test_both_level_lookups_accept_the_same_levels():
+    # a level either has a cubic and bands or neither: both lookups agree
+    for level in {*_BOUNDARY_CUBICS, *_PARAM_BANDS}:
+        assert boundary_z_c(0.05, level) > 0.0
+        assert select_params(0.05, level).n >= 1
+    for level in (1e-20, 1e-30, 1e-40, 1e-60, 1e-80, 1e-15, 1e-17, 0.0):
+        with pytest.raises(ValueError):
+            boundary_z_c(0.05, level)
+        with pytest.raises(ValueError):
+            select_params(0.05, level)
 
 
 @pytest.mark.parametrize("y", [5e-324, 1e-300, 1e-100, 1e-8, 0.05, 0.1])
@@ -204,10 +217,11 @@ def test_external_depth_steps():
     assert external_depth(25.0) == 6
     assert external_depth(60.0) == 5
     # the log-bin lookup takes the step searchsorted takes on the edges,
-    # at every edge and its neighbours and beyond the last one
+    # at every edge and its neighbours and beyond the last one; -0.0 counts as 0
     e = _EXT_DEPTH_EDGES
     r = np.concatenate(
-        [e, np.nextafter(e, 0), np.nextafter(e, np.inf), [0.0, 5e-324, 6.6, 40.0, 1e5, 1e300, np.inf]]
+        [e, np.nextafter(e, 0), np.nextafter(e, np.inf),
+         [0.0, -0.0, 5e-324, 6.6, 40.0, 1e5, 1e300, np.inf]]
     )
     assert np.array_equal(external_depth(r), _EXT_DEPTHS[np.searchsorted(e, r, side="right")])
     assert [external_depth(float(v)) for v in r] == external_depth(r).tolist()
@@ -217,6 +231,12 @@ def test_external_depth_steps():
     assert np.all(np.diff(depth) <= 0)
     for y in (5e-324, 1e-8, 1e-3, 0.1):
         assert np.all(depth >= external_depth(np.hypot(xs, y)))
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e300, np.nan, np.array([3.0, -2.0, 40.0])])
+def test_external_depth_rejects_what_is_not_a_radius(bad):
+    with pytest.raises(ValueError):
+        external_depth(bad)
 
 
 @pytest.mark.parametrize("step", range(15, len(_EXT_DEPTHS)))
