@@ -10,8 +10,8 @@ never participates in production evaluation.
 
 from .coeffs import CoeffTables, build_pq_tables, get_tables, hermite_coeffs, p_closed_form
 from .dawson import dawson_cf
-from .laplace import laplace_rel_error, laplace_w
-from .scheme import boundary_z_c, eval_w, eval_w_batch, external_depth, select_params
+from .laplace import external_depth, laplace_w
+from .scheme import boundary_z_c, eval_w, eval_w_batch, select_params
 from .taylor import (
     SeriesParams,
     VoigtValue,
@@ -37,7 +37,6 @@ __all__ = [
     "external_depth",
     "get_tables",
     "hermite_coeffs",
-    "laplace_rel_error",
     "laplace_w",
     "p_closed_form",
     "select_params",

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .laplace import laplace_rel_error
+from .laplace import laplace_w
 from .oracle import ref_w, rel_errors
 from .scheme import (
     boundary_x_c,
@@ -49,6 +49,8 @@ def _fmt(v):
 def _grid(lo, hi, count, scale):
     if count < 1:
         raise ValueError("grid count must be >= 1")
+    if not math.isfinite(hi - lo):  # NaN, inf or a span past the float range
+        raise ValueError("grid bounds and their span must be finite")
     if lo > hi:
         raise ValueError("grid min must not exceed max")
     if count == 1:
@@ -94,7 +96,7 @@ def cmd_eval(args):
 def cmd_errmap(args):
     xs = _grid(args.x_min, args.x_max, args.x_count, args.x_scale)
     ys = _grid(args.y_min, args.y_max, args.y_count, args.y_scale)
-    if ys.min() < 0 or ys.max() > Y_MAX:
+    if not 0.0 <= ys.min() <= ys.max() <= Y_MAX:  # both grids pass before --out is opened
         raise ValueError(f"y grid must stay inside [0, {Y_MAX}]")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -182,7 +184,7 @@ def best_laplace_error(r, y):
     x = float(np.sqrt(r * r - y * y))
     ref = complex(ref_w(x, y))
     z = complex(x, y)
-    return min(laplace_rel_error(z, n, ref) for n in _BOUNDARY_DEPTH_GRID)
+    return min(max(rel_errors(laplace_w(z, n), ref)) for n in _BOUNDARY_DEPTH_GRID)
 
 
 def find_boundary(y, eps):

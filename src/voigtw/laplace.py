@@ -7,22 +7,40 @@ arithmetic.  Convergence collapses for tiny Im(z) at moderate |z|; the
 dispatcher keeps this branch outside the computing boundary, this module
 itself never restricts its domain.
 
-The array level loop, `run_levels`, has two callers.  `laplace_w` runs
-it at one depth for the whole call.  The evaluator's external branch
-(`scheme._external`) gives each point its own depth: `deepest_first`
-orders its points deepest first, so level k updates, in place, the
-prefix of points whose depth is at least k, and every point sees
-exactly the levels and arithmetic of its own depth-N fraction.
-`scheme` says why that branch runs on one float64 block per call (page
-faults).
+`laplace_w` runs the fraction at one depth for the whole call.  The
+evaluator's external branch, `external_branch`, gives each point x + iy
+the depth its |x| needs.  Close to z_c(y) the fraction needs more levels
+than the paper's N_C = 6 (about 19 at |z| ~ 6.65, falling to 6 by
+|z| ~ 20), and far from it fewer (5 from 52 on, down to 1 from 49152).
+That profile was calibrated against the high-accuracy oracle on dense
+radius grids and is applied per point as a step function of |x|, looked
+up in 16-per-octave bins keyed by the bits of the float
+(`external_depth`).  |x| <= |z| and the profile never rises, so a point
+gets at least the depth its |z| needs, with no hypot per point.  The
+points are ordered deepest first, so level k updates, in place, the
+prefix of points whose depth is at least k, and every point sees exactly
+the levels and arithmetic of its own depth-N fraction: batch and scalar
+evaluation agree bit for bit.
+
+`external_branch` takes every temporary but the sort order from one
+float64 block of five rows of n points, allocated per call, and writes K
+and L straight into the caller's output arrays.  No buffer outlives the
+call.  One block matters for page faults more than for bytes: glibc
+raises its mmap threshold to the largest mmapped chunk freed and its
+trim threshold to twice that, so once one block carries most of a call,
+what the call frees stays below the trim threshold and the heap keeps
+its pages for the next call.
 
 `laplace_point` is the one-point form, on numpy complex128 scalars: the
 same bits as the array loop.  Python's `complex` division rounds
 differently on about two of five random quotients, and a Smith
 division written in floats, though it matched numpy's bits, cost more.
+`point_depth` is `external_depth` at one float, without a numpy call.
 """
 
+import math
 import numbers
+from bisect import bisect_right
 
 import numpy as np
 
@@ -34,8 +52,90 @@ _I_SQRT_PI = 1j / np.sqrt(np.pi)
 # two cross between 2048 and 4096 points on a 2-vCPU x86 VM, numpy 2.4).
 _OWN_QUOTIENT_MAX = 2048
 
+# Oracle-calibrated continued-fraction depth reaching the double precision
+# floor, as a step function of the radius: depth i below edge i and from
+# edge i - 1 on.  The steps up to 22, where the paper's N_C = 6 takes
+# over, were calibrated on |z|; a point takes its depth at |x| <= |z|,
+# which is at least the depth at |z| as the depth never rises with the
+# radius.  The steps from 52 on are `oracle.laplace_depth_steps`: each
+# edge is the first grid radius from which the next lower depth keeps the
+# fraction's truncation error within 2^-61.  Every edge has at most four
+# significand bits, so the profile is looked up in bins of 16 per octave
+# keyed by the top 16 bits of a radius >= 0, its exponent and the first
+# four bits of its significand: bin j holds the radii whose key is j, the
+# last bin every radius from the last edge on.
+_EXT_DEPTH_EDGES = np.array(
+    [7.0, 7.5, 8.0, 8.5, 9.0, 9.5, 10.0, 11.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0,
+     52.0, 100.0, 288.0, 1536.0, 49152.0]
+)
+_EXT_DEPTHS = np.array([21, 19, 17, 16, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6, 5, 4, 3, 2, 1])
+_ext_keys = (_EXT_DEPTH_EDGES.view(np.int64) >> 48).tolist()
+_EXT_BIN_DEPTH = np.repeat(_EXT_DEPTHS, np.diff([0, *_ext_keys, _ext_keys[-1] + 1])).astype(np.int8)
+# the step profile as lists, for one point's depth without a numpy call
+_EXT_EDGE_LIST = _EXT_DEPTH_EDGES.tolist()
+_EXT_DEPTH_LIST = _EXT_DEPTHS.tolist()
 
-def deepest_first(depth):
+
+def external_depth(r):
+    """Per-point Laplace depth reaching the double-precision floor at radius r >= 0.
+
+    Returns an int for a scalar r, else an int8 array of r's shape.  Every
+    edge lies on the bin grid, so each bin decision is the one the edges
+    make; inf takes the last step and -0.0 counts as 0.  Raises
+    ValueError unless every r >= 0; NaN fails that test.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if not (r >= 0.0).all():
+        raise ValueError("r must be >= 0")
+    key = r.view(np.int64) >> 48
+    out = _EXT_BIN_DEPTH.take(key, mode="clip")
+    return out if out.ndim else int(out)
+
+
+def point_depth(ax):
+    """external_depth at one float ax >= 0, without a numpy call; rejects inf and NaN.
+
+    `scheme.eval_w` sends here every |x| not below x_c, which is inf at
+    y = 0, so this is where it rejects a non-finite x.
+    """
+    if not ax < math.inf:
+        raise ValueError("x must be finite")
+    return _EXT_DEPTH_LIST[bisect_right(_EXT_EDGE_LIST, ax)]
+
+
+def external_branch(ax, y, k, l, at):
+    """The fraction at ax + iy, each point at the depth its ax >= 0 needs.
+
+    Evaluates the points ax[at] and writes their K to k[at] and L to
+    l[at]; at is a boolean mask or slice(None), and k and l are 1-d
+    float64 arrays like ax.  Every temporary but the sort order lives in
+    one float64 block of five rows of n: z and the fraction t are complex
+    views of rows 0-1 and 2-3, row 4 holds the depth key, the int8
+    depths sit in row 0 until z is built and the deepest-first gather in
+    row 2 until t is.  ax is never written.
+    """
+    x = ax[at]
+    n = x.size
+    block = np.empty(5 * n)  # flat: slices cost fewer numpy calls than rows
+    z = block[: 2 * n].view(np.complex128)
+    t = block[2 * n : 4 * n].view(np.complex128)
+    key = block[4 * n :].view(np.int64)  # the lookup of `external_depth`
+    np.right_shift(x.view(np.int64), 48, out=key)
+    depth = _EXT_BIN_DEPTH.take(key, out=block.view(np.int8)[:n], mode="clip")
+    order, top, joins = _deepest_first(depth)
+    if order is not None:
+        x = x.take(order, out=block[2 * n : 3 * n], mode="clip")
+    np.copyto(z.real, x)
+    z.imag = y
+    w = _run_levels(z, t, top, joins)
+    if order is not None:
+        z[order] = w  # one scatter back, into the spent z
+        w = z
+    k[at] = w.real
+    l[at] = w.imag
+
+
+def _deepest_first(depth):
     """Order a non-empty 1-d int8 row of depths 1..127 deepest first.
 
     Returns (order, top, joins): order is None when every point has the
@@ -61,13 +161,12 @@ def deepest_first(depth):
     return order, top, joins
 
 
-def run_levels(z, t, order, top, joins):
-    """The fraction at the points z, ordered and cut as `deepest_first` gave.
+def _run_levels(z, t, top, joins):
+    """The fraction at the points z, deepest first and cut as `_deepest_first` gave.
 
-    z holds the points deepest first, and t, like z, is the workspace;
-    both are contiguous complex128.  Level k is t = z - (k/2)/t over
-    the points of depth >= k.  Returns w in the points' own order: t,
-    or z, overwritten, when `order` sorted them.
+    t, like z, is the workspace; both are contiguous complex128.  Level k
+    is t = z - (k/2)/t over the points of depth >= k.  Returns w in z's
+    order, in t.
     """
     np.copyto(t, z)
     u = np.empty_like(t) if t.size <= _OWN_QUOTIENT_MAX else t
@@ -78,10 +177,7 @@ def run_levels(z, t, order, top, joins):
         np.divide(0.5 * k, th, out=uh)
         np.subtract(zh, uh, out=th)
     np.divide(_I_SQRT_PI, t, out=t)
-    if order is None:
-        return t
-    z[order] = t  # one scatter back, into the spent z
-    return z
+    return t
 
 
 def laplace_point(z, n):
@@ -105,21 +201,5 @@ def laplace_w(z, n_c):
     if (z == 0).any():
         raise ValueError("laplace_w is undefined at z = 0")
     zs = z.ravel()
-    w = run_levels(zs, np.empty_like(zs), None, n_c, {n_c: zs.size})
+    w = _run_levels(zs, np.empty_like(zs), n_c, {n_c: zs.size})
     return w.reshape(z.shape) if z.ndim else complex(w[0])
-
-
-def laplace_rel_error(z, n_c, ref):
-    """Componentwise worst relative error of the depth-n_c fraction vs ref.
-
-    max(|Re - Re_ref|/|Re_ref|, |Im - Im_ref|/|Im_ref|); undefined (raises)
-    when either reference component is zero.
-    """
-    ref = complex(ref)
-    if ref.real == 0.0 or ref.imag == 0.0:
-        raise ValueError("reference components must both be nonzero")
-    approx = laplace_w(z, n_c)
-    return max(
-        abs(approx.real - ref.real) / abs(ref.real),
-        abs(approx.imag - ref.imag) / abs(ref.imag),
-    )

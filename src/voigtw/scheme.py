@@ -27,25 +27,11 @@ and the external branch call the fractions' one-point forms,
 `dawson.dawson_point` on floats and `laplace.laplace_point` on
 complex128 scalars; each lives next to its array form.
 
-The external depth deserves a note.  Close to z_c(y) the fraction needs
-more levels than the paper's N_C = 6 (about 19 at |z| ~ 6.65, falling to
-6 by |z| ~ 20), and far from it fewer (5 from 52 on, down to 1 from
-49152).  That profile was calibrated against the high-accuracy oracle on
-dense radius grids and is applied per point as a step function of |x|,
-looked up in 16-per-octave bins keyed by the bits of the float
-(`external_depth`).  |x| <= |z| and the profile never rises, so a point
-gets at least the depth its |z| needs, with no hypot per point.  The
-whole external branch is one run of the Laplace levels with one depth
-per point, so batch and scalar evaluation agree bit for bit.
-
-That run (`_external`) takes every temporary but the sort order from
-one float64 block of five rows of n points, allocated per call, and
-writes K and L straight into the output arrays.  No buffer outlives
-the call.  One block matters for page faults more than for bytes: glibc
-raises its mmap threshold to the largest mmapped chunk freed and its
-trim threshold to twice that, so once one block carries most of a
-call, what the call frees stays below the trim threshold and the heap
-keeps its pages for the next call.  A call with no sign bit set in x
+Outside z_c the whole external branch is one call of
+`laplace.external_branch`, which looks up each point's fraction depth
+from |x| (`external_depth`) and writes K and L straight into the output
+arrays; `laplace` says how the depths are calibrated and why the branch
+runs on one float64 block per call.  A call with no sign bit set in x
 takes no |x| copy.
 
 The evaluator runs at the one accuracy level float64 can meet, 1e-16.
@@ -54,13 +40,12 @@ The paper's 1e-100 boundary cubic and bands are kept as data:
 """
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
 
 from .dawson import dawson_cf, dawson_point, q_bin, q_point
-from .laplace import deepest_first, laplace_point, run_levels
+from .laplace import external_branch, external_depth, laplace_point, point_depth
 from .taylor import (
     ONE_OVER_SQRT_PI, SeriesParams, VoigtValue, Y_MAX, build_y_coefficients, series_array,
 )
@@ -106,27 +91,6 @@ _PARAM_BANDS = {
     ),
 }
 
-# Oracle-calibrated continued-fraction depth reaching the double precision
-# floor, as a step function of the radius: depth i below edge i and from
-# edge i - 1 on.  The steps up to 22, where the paper's N_C = 6 takes
-# over, were calibrated on |z|; a point takes its depth at |x| <= |z|,
-# which is at least the depth at |z| as the depth never rises with the
-# radius.  The steps from 52 on are `oracle.laplace_depth_steps`: each
-# edge is the first grid radius from which the next lower depth keeps the
-# fraction's truncation error within 2^-61.  Every edge has at most four
-# significand bits, so the profile is looked up in bins of 16 per octave
-# keyed by the top 16 bits of a radius >= 0, its exponent and the first
-# four bits of its significand: bin j holds the radii whose key is j, the
-# last bin every radius from the last edge on.
-_EXT_DEPTH_EDGES = np.array(
-    [7.0, 7.5, 8.0, 8.5, 9.0, 9.5, 10.0, 11.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0,
-     52.0, 100.0, 288.0, 1536.0, 49152.0]
-)
-_EXT_DEPTHS = np.array([21, 19, 17, 16, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6, 5, 4, 3, 2, 1])
-_ext_keys = (_EXT_DEPTH_EDGES.view(np.int64) >> 48).tolist()
-_EXT_BIN_DEPTH = np.repeat(_EXT_DEPTHS, np.diff([0, *_ext_keys, _ext_keys[-1] + 1])).astype(np.int8)
-
-
 def boundary_z_c(y, level=1e-16):
     """Computing boundary z_c(y) at accuracy level 1e-16 or 1e-100; any other level raises."""
     if level not in _BOUNDARY_CUBICS:
@@ -171,22 +135,6 @@ def select_params(y, level=1e-16):
     return SeriesParams(n=chosen[1], n_d=chosen[2], n_c=chosen[3])
 
 
-def external_depth(r):
-    """Per-point Laplace depth reaching the double-precision floor at radius r >= 0.
-
-    Returns an int for a scalar r, else an int8 array of r's shape.  Every
-    edge lies on the bin grid, so each bin decision is the one the edges
-    make; inf takes the last step and -0.0 counts as 0.  Raises
-    ValueError unless every r >= 0; NaN fails that test.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    if not (r >= 0.0).all():
-        raise ValueError("r must be >= 0")
-    key = r.view(np.int64) >> 48
-    out = _EXT_BIN_DEPTH.take(key, mode="clip")
-    return out if out.ndim else int(out)
-
-
 def eval_w_batch(xs, y):
     """Evaluate w(x + iy) = K + iL over an array of x sharing one y.
 
@@ -223,44 +171,10 @@ def eval_w_batch(xs, y):
         else:
             internal = ~external
             k[internal], l[internal] = series_array(fold, ax[internal])
-        _external(ax, y, k, l, external)
+        external_branch(ax, y, k, l, external)
     if signed:  # L is odd in x; negation is exact and keeps the sign of x = -0.0
         np.negative(l, out=l, where=np.signbit(x))
     return VoigtValue(k.reshape(xs.shape), l.reshape(xs.shape))
-
-
-def _external(ax, y, k, l, at):
-    """The Laplace fraction at ax + iy, each point at the depth its ax >= 0 needs.
-
-    Evaluates the points ax[at] and writes their K to k[at] and L to
-    l[at]; at is a boolean mask or slice(None), and k and l are 1-d
-    float64 arrays like ax.  Every temporary but the sort order lives in
-    one float64 block of five rows of n: z and the fraction t are complex
-    views of rows 0-1 and 2-3, row 4 holds the depth key, the int8
-    depths sit in row 0 until z is built and the deepest-first gather in
-    row 2 until t is.  ax is never written.
-    """
-    x = ax[at]
-    n = x.size
-    block = np.empty(5 * n)  # flat: slices cost fewer numpy calls than rows
-    z = block[: 2 * n].view(np.complex128)
-    t = block[2 * n : 4 * n].view(np.complex128)
-    key = block[4 * n :].view(np.int64)  # the depth lookup of `external_depth`
-    np.right_shift(x.view(np.int64), 48, out=key)
-    depth = _EXT_BIN_DEPTH.take(key, out=block.view(np.int8)[:n], mode="clip")
-    order, top, joins = deepest_first(depth)
-    if order is not None:
-        x = x.take(order, out=block[2 * n : 3 * n], mode="clip")
-    np.copyto(z.real, x)
-    z.imag = y
-    w = run_levels(z, t, order, top, joins)
-    k[at] = w.real
-    l[at] = w.imag
-
-
-# the step profile as lists, for one point's depth without a numpy call
-_EXT_EDGE_LIST = _EXT_DEPTH_EDGES.tolist()
-_EXT_DEPTH_LIST = _EXT_DEPTHS.tolist()
 
 
 @lru_cache(maxsize=128)
@@ -276,17 +190,6 @@ def _y_record(y):
     return params, build_y_coefficients(y, params), boundary_x_c(y)
 
 
-def _point_depth(ax):
-    """external_depth at one float ax >= 0, without a numpy call; rejects inf and NaN.
-
-    eval_w and point_branch send here every |x| not below x_c, which is
-    inf at y = 0, so this is where both reject a non-finite x.
-    """
-    if not ax < math.inf:
-        raise ValueError("x must be finite")
-    return _EXT_DEPTH_LIST[bisect_right(_EXT_EDGE_LIST, ax)]
-
-
 def point_branch(x, y):
     """The branch eval_w(x, y) takes, and the evaluator it runs there.
 
@@ -294,13 +197,16 @@ def point_branch(x, y):
     prints it: ("axis", "dawson_depth", N_D) at y = 0; inside the
     computing boundary ("internal", "dawson_bin", i), D(x)/x coming from
     bin i of the Dawson polynomials; ("external", "laplace_depth", depth)
-    outside it.  Rejects what eval_w rejects, with the same errors.
+    outside it, depth the batch branch's own lookup `external_depth(|x|)`.
+    Rejects what eval_w rejects, with the same errors.
     """
     y = float(y)
     params, _, x_c = _y_record(y)
     ax = abs(float(x))
     if not ax < x_c:
-        return "external", "laplace_depth", _point_depth(ax)
+        if not ax < math.inf:  # as eval_w rejects it
+            raise ValueError("x must be finite")
+        return "external", "laplace_depth", external_depth(ax)
     if y == 0.0:
         return "axis", "dawson_depth", params.n_d
     return "internal", "dawson_bin", q_bin(ax)
@@ -320,7 +226,7 @@ def eval_w(x, y):
     x = float(x)
     ax = abs(x)
     if not ax < x_c:  # x_c is inf at y = 0: inf and NaN come here
-        w = laplace_point(complex(ax, y), _point_depth(ax))
+        w = laplace_point(complex(ax, y), point_depth(ax))
         k, l = float(w.real), float(w.imag)
     elif y == 0.0:
         m = min(ax, 30.0)

@@ -161,6 +161,27 @@ class TestErrmap:
         ]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    @pytest.mark.parametrize(
+        "bound, value",
+        [
+            ("--x-min", "nan"), ("--x-max", "nan"), ("--x-min", "-inf"), ("--x-max", "inf"),
+            ("--y-min", "nan"), ("--y-max", "nan"), ("--y-min", "-inf"), ("--y-max", "inf"),
+        ],
+    )
+    def test_rejects_nonfinite_bound_before_writing(self, tmp_path, bound, value, scale, capsys):
+        out = tmp_path / "x.csv"
+        bounds = {"--x-min": "0.5", "--x-max": "5.0", "--y-min": "1e-4", "--y-max": "0.1"}
+        bounds[bound] = value
+        argv = [
+            "errmap", *(f"{flag}={v}" for flag, v in bounds.items()),
+            "--x-count", "3", "--y-count", "3", "--x-scale", scale, "--y-scale", scale,
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestBench:
     def test_report_format_and_determinism(self, capsys):
@@ -226,6 +247,9 @@ class TestBoundary:
         tight = find_boundary(1e-4, 1e-12)
         loose = find_boundary(1e-4, 1e-7)
         assert loose <= tight + 0.005
+        # the bisection's exact results, so a change to how Delta_C is
+        # measured cannot move them unseen
+        assert (tight, loose) == (6.41094970703125, 5.39141845703125)
 
     def test_rejects_eps_outside_range(self, capsys):
         assert main(["boundary", "--y", "0.1", "--eps", "1e-20"]) == 2

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from voigtw.laplace import deepest_first, laplace_point, laplace_rel_error, laplace_w
-from voigtw.oracle import ref_w
-from voigtw.scheme import boundary_z_c, external_depth
+from voigtw.laplace import _deepest_first, external_depth, laplace_point, laplace_w
+from voigtw.oracle import ref_w, rel_errors
+from voigtw.scheme import boundary_z_c
 
 
 def test_large_z_leading_term():
@@ -83,7 +83,7 @@ def test_deepest_first_joins_match_bincount():
         size = int(rng.integers(1, 60))
         rows.append(rng.choice(rng.integers(1, 22, rng.integers(1, 6)), size).astype(np.int8))
     for depth in rows:
-        order, deepest, joins = deepest_first(depth)
+        order, deepest, joins = _deepest_first(depth)
         counts, want, m = np.bincount(depth), {}, 0
         for k in range(depth.max(), 0, -1):
             if counts[k]:
@@ -96,35 +96,18 @@ def test_deepest_first_joins_match_bincount():
             assert np.array_equal(order, np.argsort(~depth.astype(np.uint8), kind="stable"))
 
 
-class TestRelError:
-    def test_exact_match_is_zero(self):
-        ref = laplace_w(30 + 0.05j, 30)
-        assert laplace_rel_error(30 + 0.05j, 30, ref) == 0.0
-
-    def test_definition(self):
-        ref = laplace_w(30 + 0.05j, 30)
-        n = 30
-        # perturb only the real part of the reference by 1e-10
-        skew = complex(ref.real / (1 + 1e-10), ref.imag)
-        assert laplace_rel_error(30 + 0.05j, n, skew) == pytest.approx(1e-10, rel=1e-4)
-
-    def test_rejects_zero_component(self):
-        with pytest.raises(ValueError):
-            laplace_rel_error(10 + 0.1j, 6, complex(1.0, 0.0))
-
-
 def test_tiny_y_convergence_stalls():
     # the small-y pathology: at |z| = 8, y = 1e-20 the fraction cannot get
     # below 1e-6 no matter the depth
     ref = complex(ref_w(8, 1e-20))
-    assert laplace_rel_error(complex(8, 1e-20), 1000, ref) > 1e-6
+    assert max(rel_errors(laplace_w(complex(8, 1e-20), 1000), ref)) > 1e-6
 
 
 def test_error_nonincreasing_in_depth():
     floor = 3e-16
     for z in [complex(8, 0.05), complex(12, 0.05), complex(40, 0.05)]:
         ref = complex(ref_w(z.real, z.imag))
-        errs = [laplace_rel_error(z, n, ref) for n in (2, 4, 8, 16, 32, 64)]
+        errs = [max(rel_errors(laplace_w(z, n), ref)) for n in (2, 4, 8, 16, 32, 64)]
         for prev, nxt in zip(errs, errs[1:]):
             assert nxt <= prev + floor
 
@@ -137,4 +120,4 @@ def test_accurate_beyond_boundary_with_calibrated_depth():
     for r in np.linspace(z_c, 30, 25):
         x = np.sqrt(r * r - y * y)
         ref = complex(ref_w(x, y))
-        assert laplace_rel_error(complex(x, y), external_depth(r), ref) <= 1.5e-15
+        assert max(rel_errors(laplace_w(complex(x, y), external_depth(r)), ref)) <= 1.5e-15

@@ -6,8 +6,7 @@ import pytest
 
 from conftest import rel_err
 from voigtw import oracle
-from voigtw.laplace import laplace_w
-from voigtw.scheme import _EXT_DEPTH_EDGES, _EXT_DEPTHS
+from voigtw.laplace import _EXT_DEPTH_EDGES, _EXT_DEPTHS, laplace_w
 from voigtw.oracle import (
     ErrorReport,
     OracleError,

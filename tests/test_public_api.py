@@ -89,3 +89,37 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in loaded
         ]
     assert unused == []
+
+
+def test_modules_import_only_their_lower_layers():
+    # the fractions and the tables stand alone, the series builds on them,
+    # and scheme dispatches over all three; apart from __init__ only cli
+    # imports scheme, so each branch's code stays in its own module
+    allowed = {
+        "coeffs": set(),
+        "dawson": set(),
+        "laplace": set(),
+        "taylor": {"coeffs", "dawson"},
+        "scheme": {"dawson", "laplace", "taylor"},
+    }
+    src = os.path.dirname(voigtw.__file__)
+    imports = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        imports[module] = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # siblings come in one form, `from .module import name`
+                assert node.level == 1 and node.module, f"{module}:{node.lineno}"
+                imports[module].add(node.module)
+            elif isinstance(node, ast.ImportFrom):  # an absolute import would dodge the check
+                assert not node.module.startswith("voigtw"), module
+            else:
+                assert not any(a.name.startswith("voigtw") for a in node.names), module
+    crossing = {m: sorted(imports[m] - ok) for m, ok in allowed.items() if imports[m] - ok}
+    assert crossing == {}
+    assert sorted(m for m, found in imports.items() if "scheme" in found) == ["__init__", "cli"]

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
-from voigtw.laplace import laplace_w
+from voigtw.laplace import _EXT_DEPTH_EDGES, _EXT_DEPTHS, laplace_w
 from voigtw.scheme import (
     _BOUNDARY_CUBICS,
-    _EXT_DEPTH_EDGES,
-    _EXT_DEPTHS,
     _PARAM_BANDS,
     _y_record,
     boundary_x_c,
