@@ -97,10 +97,12 @@ def dawson_cf(x, n_d):
     """Depth-n_d continued fraction approximation of Dawson's integral.
 
     x is a scalar or ndarray, n_d a positive integer.  Returns a float for
-    a scalar x, else a float64 array of x's shape.
+    a scalar x, else a float64 array of x's shape; a complex x raises TypeError.
     """
     if not isinstance(n_d, numbers.Integral) or n_d < 1:
         raise ValueError(f"n_d must be a positive integer, got {n_d!r}")
+    if np.iscomplexobj(x):
+        raise TypeError("x must be real")
     x = np.asarray(x, dtype=np.float64)
     x_big = 6.3e153 / math.sqrt(n_d)  # below it 4 n_d x^2 < 1.6e308 stays finite
     if -x_big < x.min(initial=0.0) and x.max(initial=0.0) < x_big:

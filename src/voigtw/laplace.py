@@ -82,8 +82,10 @@ def external_depth(r):
     Returns an int for a scalar r, else an int8 array of r's shape.  Every
     edge lies on the bin grid, so each bin decision is the one the edges
     make; inf takes the last step and -0.0 counts as 0.  Raises
-    ValueError unless every r >= 0; NaN fails that test.
+    ValueError unless every r >= 0 (NaN fails), TypeError for a complex r.
     """
+    if np.iscomplexobj(r):
+        raise TypeError("r must be real")
     r = np.asarray(r, dtype=np.float64)
     if not (r >= 0.0).all():
         raise ValueError("r must be >= 0")
@@ -112,7 +114,7 @@ def external_branch(ax, y, k, l, at):
     one float64 block of five rows of n: z and the fraction t are complex
     views of rows 0-1 and 2-3, row 4 holds the depth key, the int8
     depths sit in row 0 until z is built and the deepest-first gather in
-    row 2 until t is.  ax is never written.
+    row 2 until t is; w is scattered back into the spent z.  ax is never written.
     """
     x = ax[at]
     n = x.size
@@ -122,57 +124,47 @@ def external_branch(ax, y, k, l, at):
     key = block[4 * n :].view(np.int64)  # the lookup of `external_depth`
     np.right_shift(x.view(np.int64), 48, out=key)
     depth = _EXT_BIN_DEPTH.take(key, out=block.view(np.int8)[:n], mode="clip")
-    order, top, joins = _deepest_first(depth)
-    if order is not None:
-        x = x.take(order, out=block[2 * n : 3 * n], mode="clip")
+    order, ends = _deepest_first(depth)
+    x = x.take(order, out=block[2 * n : 3 * n], mode="clip")
     np.copyto(z.real, x)
     z.imag = y
-    w = _run_levels(z, t, top, joins)
-    if order is not None:
-        z[order] = w  # one scatter back, into the spent z
-        w = z
-    k[at] = w.real
-    l[at] = w.imag
+    z[order] = _run_levels(z, t, ends)
+    k[at] = z.real
+    l[at] = z.imag
 
 
 def _deepest_first(depth):
     """Order a non-empty 1-d int8 row of depths 1..127 deepest first.
 
-    Returns (order, top, joins): order is None when every point has the
-    same depth, else the permutation putting deeper points first; top is
-    the greatest depth; joins maps each depth k present to the number m
-    of points of depth >= k, so level k and the levels below it, down to
-    the next join, update the first m ordered points.
+    Returns (order, ends): order is the stable permutation putting deeper
+    points first, and ends[i] the number of points of depth >= top - i,
+    for top the greatest depth and i = 0..top - 1, so that level top - i
+    updates the first ends[i] ordered points.
     """
-    top = int(depth.max())
-    if depth.min() == top:  # one depth: no sort
-        return None, top, {top: depth.size}
     # a one-byte key, complemented so that ascending is deepest first:
     # numpy's stable sort on it is a radix sort, and the order comes out
     # contiguous, which keeps the gather and the scatter back cheap
     key = ~depth.view(np.uint8)
     order = np.argsort(key, kind="stable")
+    top = int(depth[order[0]])
     # the points of depth >= k lead the order: find where they end in the sorted keys
-    ends = np.searchsorted(key, ~np.arange(top, 0, -1, dtype=np.uint8), "right", order).tolist()
-    joins, m = {}, 0
-    for k, end in zip(range(top, 0, -1), ends):
-        if end > m:
-            joins[k] = m = end
-    return order, top, joins
+    ends = np.searchsorted(key, ~np.arange(top, 0, -1, dtype=np.uint8), "right", order)
+    return order, ends.tolist()
 
 
-def _run_levels(z, t, top, joins):
-    """The fraction at the points z, deepest first and cut as `_deepest_first` gave.
+def _run_levels(z, t, ends):
+    """The fraction at the points z, cut into levels as `_deepest_first` gave.
 
-    t, like z, is the workspace; both are contiguous complex128.  Level k
-    is t = z - (k/2)/t over the points of depth >= k.  Returns w in z's
-    order, in t.
+    t, like z, is the workspace; both are contiguous complex128.  Level
+    k = len(ends) - i is t = z - (k/2)/t over the first ends[i] points,
+    and ends never falls.  Returns w in z's order, in t.
     """
     np.copyto(t, z)
     u = np.empty_like(t) if t.size <= _OWN_QUOTIENT_MAX else t
-    for k in range(top, 0, -1):
-        if k in joins:
-            m = joins[k]
+    m = -1
+    for k, end in zip(range(len(ends), 0, -1), ends):
+        if end != m:  # slice again only where the prefix grows
+            m = end
             th, uh, zh = t[:m], u[:m], z[:m]
         np.divide(0.5 * k, th, out=uh)
         np.subtract(zh, uh, out=th)
@@ -191,15 +183,16 @@ def laplace_point(z, n):
 def laplace_w(z, n_c):
     """Truncated Laplace continued fraction for w(z), depth n_c.
 
-    z may be a complex scalar or ndarray; n_c is one positive integer for
-    the whole call.  z = 0 is rejected (the leading denominator vanishes).
+    z is a complex scalar or ndarray, finite and nonzero (the leading
+    denominator vanishes at 0); n_c is one positive integer for the call.
     """
     if not isinstance(n_c, numbers.Integral) or n_c < 1:
         raise ValueError(f"n_c must be a positive integer, got {n_c!r}")
-    n_c = int(n_c)
     z = np.asarray(z, dtype=np.complex128)
     if (z == 0).any():
         raise ValueError("laplace_w is undefined at z = 0")
+    if not np.isfinite(z).all():
+        raise ValueError("laplace_w requires finite z")
     zs = z.ravel()
-    w = _run_levels(zs, np.empty_like(zs), n_c, {n_c: zs.size})
+    w = _run_levels(zs, np.empty_like(zs), [zs.size] * n_c)
     return w.reshape(z.shape) if z.ndim else complex(w[0])

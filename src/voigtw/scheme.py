@@ -141,8 +141,10 @@ def eval_w_batch(xs, y):
     Identical, bit for bit, to mapping eval_w over xs: both read the
     per-y record and every per-point decision (dispatch, fraction depth)
     depends only on that point.  K and L are C-contiguous float64 arrays
-    of xs' shape, 0-d for a scalar xs.  xs itself is never written.
+    of xs' shape, 0-d for a scalar xs.  xs, never written, must be real.
     """
+    if np.iscomplexobj(xs):
+        raise TypeError("xs must be real")
     xs = np.asarray(xs, dtype=np.float64)
     y = float(y)
     params, fold, x_c = _y_record(y)

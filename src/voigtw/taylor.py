@@ -160,8 +160,10 @@ def eval_w_internal(x, y, params):
     scalar x, else arrays of x's shape.  Defined for |x| < Q_TAIL = 81.5,
     the extent of the bin table, which holds every |x| < x_c(y) the
     dispatcher sends the series; raises ValueError for any other x, NaN
-    included.
+    included, and TypeError for a complex x.
     """
+    if np.iscomplexobj(x):
+        raise TypeError("x must be real")
     c = build_y_coefficients(y, params)
     x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x).reshape(-1)

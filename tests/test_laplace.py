@@ -38,10 +38,14 @@ def test_vectorized_matches_scalar():
 
 def test_rejects_zero_and_bad_depth():
     zs = np.array([10 + 0.1j, 20 + 0.1j, 30 + 0.1j])
-    with pytest.raises(ValueError):
-        laplace_w(0j, 6)
-    with pytest.raises(ValueError):
-        laplace_w(zs * [1, 0, 1], 6)
+    # z = 0, and z with an inf or NaN part, alone and inside an array
+    nan, inf = float("nan"), float("inf")
+    for bad in (0j, complex(nan, 0.1), complex(10, nan), complex(inf, inf), complex(inf, 0),
+                complex(-inf, 0.1), complex(10, inf)):
+        with pytest.raises(ValueError):
+            laplace_w(bad, 6)
+        with pytest.raises(ValueError):
+            laplace_w(np.r_[zs[:2], bad, zs[2:]], 6)
     # the fraction takes one positive integer depth for the whole call
     for bad in (6.5, 6.0, 0, -3, np.array([6, 7, 8])):
         with pytest.raises(ValueError, match="n_c"):
@@ -74,7 +78,7 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
     assert laplace_w(np.empty(0, dtype=complex), 6).shape == (0,)
 
 
-def test_deepest_first_joins_match_bincount():
+def test_deepest_first_prefixes_match_bincount():
     # the external branch's rows: int8, depths 1..21, never empty
     rng = np.random.default_rng(8)
     rows = [np.full(1, 7, np.int8), np.full(50, 21, np.int8),
@@ -83,17 +87,10 @@ def test_deepest_first_joins_match_bincount():
         size = int(rng.integers(1, 60))
         rows.append(rng.choice(rng.integers(1, 22, rng.integers(1, 6)), size).astype(np.int8))
     for depth in rows:
-        order, deepest, joins = _deepest_first(depth)
-        counts, want, m = np.bincount(depth), {}, 0
-        for k in range(depth.max(), 0, -1):
-            if counts[k]:
-                m += counts[k]
-                want[k] = m
-        assert deepest == depth.max() and joins == want
-        if order is None:
-            assert depth.min() == depth.max()
-        else:
-            assert np.array_equal(order, np.argsort(~depth.astype(np.uint8), kind="stable"))
+        order, ends = _deepest_first(depth)
+        # ends[i] counts the points of depth >= top - i, top the greatest depth
+        assert ends == np.cumsum(np.bincount(depth)[:0:-1]).tolist()
+        assert np.array_equal(order, np.argsort(~depth.astype(np.uint8), kind="stable"))
 
 
 def test_tiny_y_convergence_stalls():

@@ -4,6 +4,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import voigtw
 from voigtw.oracle import ErrorReport
 
@@ -123,3 +126,20 @@ def test_modules_import_only_their_lower_layers():
     crossing = {m: sorted(imports[m] - ok) for m, ok in allowed.items() if imports[m] - ok}
     assert crossing == {}
     assert sorted(m for m, found in imports.items() if "scheme" in found) == ["__init__", "cli"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: voigtw.eval_w_batch(x, 0.05),
+        lambda x: voigtw.eval_w_internal(x, 0.05, voigtw.select_params(0.05)),
+        lambda x: voigtw.dawson_cf(x, 61),
+        voigtw.external_depth,
+    ],
+    ids=["eval_w_batch", "eval_w_internal", "dawson_cf", "external_depth"],
+)
+def test_complex_input_is_rejected(call):
+    # a cast to float64 would drop the imaginary part with only a warning
+    for x in (np.array([1 + 2j]), np.array([3 + 0j, 8 + 0j]), np.complex128(1 + 2j), 1 + 2j, [1 + 2j]):
+        with pytest.raises(TypeError):
+            call(x)

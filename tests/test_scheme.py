@@ -461,8 +461,9 @@ class TestExternalKernel:
     def test_own_quotient_edge_sorted_and_one_depth(self, y, m):
         # m points outside x_c(y), at the most points whose level quotients
         # get a buffer of their own and either side of it; spread over the
-        # depth steps, or all at depth 4, where no sort runs; each alone,
-        # with random signs, and mixed with points inside x_c
+        # depth steps, or all at depth 4, where every level runs over all m
+        # points; each alone, with random signs, and mixed with points
+        # inside x_c
         rng = np.random.default_rng(m)
         x_c = boundary_x_c(y)
         spread = np.exp(rng.uniform(np.log(x_c), np.log(1e5), m))
@@ -494,17 +495,21 @@ class TestExternalKernel:
     def test_peak_memory_of_one_call(self):
         # tracemalloc peak of one 16384-point call outside x_c: 1084192 B
         # before the external branch kept its temporaries in one block
-        # (numpy 2.4.6); this keeps it from growing back
+        # (numpy 2.4.6); this keeps it from growing back, for points over
+        # the depth steps and for points all at depth 4
         y = 1e-3
-        xs = np.exp(np.random.default_rng(3).uniform(np.log(boundary_x_c(y)), np.log(4000.0), 16384))
-        eval_w_batch(xs, y)
-        tracemalloc.start()
-        try:
+        rng = np.random.default_rng(3)
+        spread = np.exp(rng.uniform(np.log(boundary_x_c(y)), np.log(4000.0), 16384))
+        one_depth = rng.uniform(100.0, 288.0, 16384)
+        for xs in (spread, one_depth):
             eval_w_batch(xs, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1_084_192
+            tracemalloc.start()
+            try:
+                eval_w_batch(xs, y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1_084_192, xs[0]
 
 
 def test_dispatch_continuity_subset():
