@@ -29,7 +29,11 @@ hence the fraction is exactly odd in x.  Where 4n x^2 would overflow,
 D(x) is 1/(2x) to double precision (the next term is 1/(4x^3)) and used
 directly.  `dawson_cf` runs the fraction over arrays and `dawson_point`
 at one float, as `q_point` is `dawson_q` at one float: the same
-operations in the same order, so the same bits.
+operations in the same order, so the same bits.  The array loop reads
+4k and 2k - 1 as float64 0-d views of one table, which a ufunc takes as
+they are; a Python number it converts on every call (at 400 points and
+depth 61 about a third of the fraction's time).  A depth past the table
+takes Python ints, which convert exactly.
 """
 
 import math
@@ -128,6 +132,10 @@ def dawson_point(x, n):
     return x / t
 
 
+# (4k, 2k - 1) at row k, as float64 0-d views of one array
+_LEVEL_OPS = [(r[0, ...], r[1, ...]) for r in np.arange(64.0)[:, None] * (4.0, 2.0) - (0.0, 1.0)]
+
+
 def _fraction_array(x, n):
     """The depth-n fraction over an array x with 4n x^2 finite, in one work buffer.
 
@@ -139,10 +147,14 @@ def _fraction_array(x, n):
     np.multiply(xs, xs, x2)
     np.multiply(2.0, x2, tx2)
     np.add(2 * n + 1, tx2, t)
-    for k in range(n, 0, -1):
+    if n < len(_LEVEL_OPS):
+        levels = _LEVEL_OPS[n:0:-1]
+    else:
+        levels = [(4 * k, 2 * k - 1) for k in range(n, 0, -1)]
+    for four_k, odd in levels:
         # t = (2k - 1) + 2x^2 - 4k x^2 / t
-        np.multiply(4 * k, x2, s)
+        np.multiply(four_k, x2, s)
         np.divide(s, t, t)
-        np.add(2 * k - 1, tx2, s)
+        np.add(odd, tx2, s)
         np.subtract(s, t, t)
     return (xs / t).reshape(x.shape)

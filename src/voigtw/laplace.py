@@ -31,10 +31,18 @@ trim threshold to twice that, so once one block carries most of a call,
 what the call frees stays below the trim threshold and the heap keeps
 its pages for the next call.
 
+The level loop takes its operands prebuilt.  Each numerator k/2 is a
+complex128 0-d view of one table, which a ufunc takes as it is, where a
+Python float is converted and cast to complex on every call; a depth
+past the table takes the Python float, which rounds the same.  The plan
+reads each level's sort key from a table with one row per top depth.
+
 `laplace_point` is the one-point form, on numpy complex128 scalars: the
-same bits as the array loop.  Python's `complex` division rounds
-differently on about two of five random quotients, and a Smith
-division written in floats, though it matched numpy's bits, cost more.
+same bits as the array loop.  It reads the same numerators as scalars,
+as scalar arithmetic with a 0-d array costs six times that with a numpy
+scalar.  Python's `complex` division rounds differently on about two of
+five random quotients, and a Smith division written in floats, though
+it matched numpy's bits, cost more.
 `point_depth` is `external_depth` at one float, without a numpy call.
 """
 
@@ -45,6 +53,18 @@ from bisect import bisect_right
 import numpy as np
 
 _I_SQRT_PI = 1j / np.sqrt(np.pi)
+
+# k/2 at row k.  A Python float costs a ufunc about 0.4 us of a 1.3 us
+# divide over 200 points; a numpy scalar is converted again, and a
+# (1,)-shaped operand is slower than either.
+_HALF_K = 0.5 * np.arange(64, dtype=np.complex128)
+_HALF_K_VIEWS = [_HALF_K[k, ...] for k in range(_HALF_K.size)]
+_HALF_K_SCALARS = list(_HALF_K)
+_I_SQRT_PI_VIEW = np.array(_I_SQRT_PI)
+# the plan's sorted keys of each level, ~top, ~(top - 1), ..., ~1, at row
+# top: views of one array, for every int8 depth
+_NOT_DEPTHS = ~np.arange(127, 0, -1, dtype=np.uint8)
+_LEVEL_KEYS = [_NOT_DEPTHS[127 - top :] for top in range(128)]
 
 # Largest call whose level quotients get a buffer of their own.  On small
 # arrays numpy's overlap check makes an in-place ufunc call cost more than
@@ -145,11 +165,15 @@ def _deepest_first(depth):
     # numpy's stable sort on it is a radix sort, and the order comes out
     # contiguous, which keeps the gather and the scatter back cheap
     key = ~depth.view(np.uint8)
-    order = np.argsort(key, kind="stable")
+    order = key.argsort(kind="stable")
     top = int(depth[order[0]])
     # the points of depth >= k lead the order: find where they end in the sorted keys
-    ends = np.searchsorted(key, ~np.arange(top, 0, -1, dtype=np.uint8), "right", order)
-    return order, ends.tolist()
+    return order, key.searchsorted(_LEVEL_KEYS[top], "right", order).tolist()
+
+
+def _numerators(n, table):
+    """k/2 for k = n, n - 1, ..., 1, from table if it holds row n, else as Python floats."""
+    return table[n:0:-1] if n < len(table) else [0.5 * k for k in range(n, 0, -1)]
 
 
 def _run_levels(z, t, ends):
@@ -162,21 +186,21 @@ def _run_levels(z, t, ends):
     np.copyto(t, z)
     u = np.empty_like(t) if t.size <= _OWN_QUOTIENT_MAX else t
     m = -1
-    for k, end in zip(range(len(ends), 0, -1), ends):
+    for half_k, end in zip(_numerators(len(ends), _HALF_K_VIEWS), ends):
         if end != m:  # slice again only where the prefix grows
             m = end
             th, uh, zh = t[:m], u[:m], z[:m]
-        np.divide(0.5 * k, th, out=uh)
-        np.subtract(zh, uh, out=th)
-    np.divide(_I_SQRT_PI, t, out=t)
+        np.divide(half_k, th, uh)
+        np.subtract(zh, uh, th)
+    np.divide(_I_SQRT_PI_VIEW, t, t)
     return t
 
 
 def laplace_point(z, n):
     """laplace_w(z, n) at one complex z != 0, on numpy complex128 scalars."""
     z = t = np.complex128(z)
-    for k in range(n, 0, -1):
-        t = z - (0.5 * k) / t
+    for half_k in _numerators(n, _HALF_K_SCALARS):
+        t = z - half_k / t
     return _I_SQRT_PI / t
 
 

@@ -146,7 +146,7 @@ def eval_w_batch(xs, y):
     if np.iscomplexobj(xs):
         raise TypeError("xs must be real")
     xs = np.asarray(xs, dtype=np.float64)
-    y = float(y)
+    y = y if type(y) is float else _real(y, "y")
     params, fold, x_c = _y_record(y)
     x = xs.reshape(-1)
     # a sign bit anywhere, -0.0 included (L keeps its sign), asks for |x|
@@ -179,6 +179,13 @@ def eval_w_batch(xs, y):
     return VoigtValue(k.reshape(xs.shape), l.reshape(xs.shape))
 
 
+def _real(v, name):
+    """float(v), or TypeError for a complex v, whose float() drops the imaginary part."""
+    if np.iscomplexobj(v):
+        raise TypeError(f"{name} must be real")
+    return float(v)
+
+
 @lru_cache(maxsize=128)
 def _y_record(y):
     """(params, fold, x_c) at one float y, shared by every batch and scalar call at that y.
@@ -202,9 +209,9 @@ def point_branch(x, y):
     outside it, depth the batch branch's own lookup `external_depth(|x|)`.
     Rejects what eval_w rejects, with the same errors.
     """
-    y = float(y)
+    y = y if type(y) is float else _real(y, "y")
     params, _, x_c = _y_record(y)
-    ax = abs(float(x))
+    ax = abs(x if type(x) is float else _real(x, "x"))
     if not ax < x_c:
         if not ax < math.inf:  # as eval_w rejects it
             raise ValueError("x must be finite")
@@ -223,9 +230,9 @@ def eval_w(x, y):
     degree down, and `np.exp`'s result is taken as a float at once, so no
     numpy scalar arithmetic follows.
     """
-    y = float(y)
+    y = y if type(y) is float else _real(y, "y")
     params, fold, x_c = _y_record(y)
-    x = float(x)
+    x = x if type(x) is float else _real(x, "x")
     ax = abs(x)
     if not ax < x_c:  # x_c is inf at y = 0: inf and NaN come here
         w = laplace_point(complex(ax, y), point_depth(ax))

@@ -16,7 +16,9 @@ Arrays take `series_array`, the expressions above run in place in one
 workspace; one point (`scheme.eval_w`) runs the same operations in the
 same order on Python floats, so both give every point the same bits.
 The fold is O(N^2) but x-independent; `scheme` keeps it in its one per-y
-record, which batch and scalar calls share.
+record, which batch and scalar calls share.  It reads float forms of the
+p, q and signed h rows, built from the exact tables at import, so a
+fresh y converts no big integer and computes no sign.
 """
 
 import math
@@ -30,6 +32,16 @@ from .dawson import Q_TAIL, dawson_q
 ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 Y_MAX = 0.1
+
+# The fold's operands as floats: p and q rows, and at row m the h row of
+# order 2m + 1 times (-1)^(m+1), an exact sign flip
+_TABLES = get_tables()
+_P_ROWS = [list(map(float, row)) for row in _TABLES.p_rows]
+_Q_ROWS = [list(map(float, row)) for row in _TABLES.q_rows]
+_SH_ROWS = [
+    [float(c) if m % 2 else -float(c) for c in _TABLES.h_rows[2 * m + 1]]
+    for m in range(_TABLES.m_max + 1)
+]
 
 
 class SeriesParams(NamedTuple):
@@ -71,7 +83,6 @@ def build_y_coefficients(y, params):
     n_max = params.n
     if not 0 <= n_max <= DEFAULT_M_MAX:
         raise ValueError(f"N must lie in 0..{DEFAULT_M_MAX}, got {n_max!r}")
-    tables = get_tables()
     y = float(y)
 
     # even[m] = y^(2m)/(2m)!,  odd[m] = y^(2m+1)/(2m+1)!; the primed sums
@@ -82,23 +93,22 @@ def build_y_coefficients(y, params):
         even.append(odd[m - 1] * y / (2 * m))
         odd.append(even[m] * y / (2 * m + 1))
 
-    p, q, h = tables.p_rows, tables.q_rows, tables.h_rows
+    p, q, sh = _P_ROWS, _Q_ROWS, _SH_ROWS
     alpha, beta, gamma = [], [], []
     alpha_p, beta_p, gamma_p = [], [], []
     for n in range(n_max + 1):
         a = b = ap = bp = 0.0
         g = gp = 0.0
         for m in range(n_max, n - 1, -1):
-            pmn = float(p[m][n])
-            hmn = float(h[2 * m + 1][n])
-            sgn = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
+            pmn = p[m][n]
+            shmn = sh[m][n]
             a += pmn * even[m]
-            b += sgn * hmn * odd[m]
-            bp += sgn * hmn * even[m]
+            b += shmn * odd[m]
+            bp += shmn * even[m]
             if m >= 1:
                 ap += pmn * odd[m - 1]
             if m >= n + 1:
-                qmn = float(q[m][n])
+                qmn = q[m][n]
                 g += qmn * even[m]
                 gp += qmn * odd[m - 1]
         alpha.append(a)

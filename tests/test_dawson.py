@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dawson_maclaurin, rel_err, ulps
-from voigtw.dawson import Q_TAIL, _Q_COEFFS, dawson_cf, dawson_point, dawson_q, q_bin, q_point
+from voigtw.dawson import Q_TAIL, _LEVEL_OPS, _Q_COEFFS, dawson_cf, dawson_point, dawson_q, q_bin, q_point
 from voigtw.oracle import dawson_q_table, ref_dawson
 from voigtw.scheme import boundary_x_c, eval_w, select_params
 from voigtw.taylor import eval_w_internal
@@ -98,9 +98,11 @@ def test_rejects_nonfinite(bad):
 
 def test_per_point_depth_matches_scalar_depth_bitwise():
     # the array fraction, one depth per call, against the scalar evaluator's
-    # float loop point by point, at every depth up to the 1e-100 tables' 344
+    # float loop point by point, at every depth up to the 1e-100 tables' 344:
+    # both sides of the end of the array form's operand table, and well past it
     rng = np.random.default_rng(7)
     xs = rng.uniform(-25, 25, 8)
+    assert len(_LEVEL_OPS) < 128
     for n in range(1, 345):
         d = dawson_cf(xs, n)
         assert [dawson_point(float(x), n) for x in xs] == d.tolist(), n

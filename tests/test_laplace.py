@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from voigtw.laplace import _deepest_first, external_depth, laplace_point, laplace_w
+from voigtw.laplace import _HALF_K_VIEWS, _deepest_first, external_depth, laplace_point, laplace_w
 from voigtw.oracle import ref_w, rel_errors
 from voigtw.scheme import boundary_z_c
 
@@ -76,6 +76,19 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
         for i in range(d, zs.size, 97):
             assert laplace_w(complex(zs[i]), d) == w[i]
     assert laplace_w(np.empty(0, dtype=complex), 6).shape == (0,)
+    # the numerators k/2 come from a table while it reaches, then as Python
+    # floats: on both sides of its end and well past it, against the loop
+    # that forms every k/2 as it goes
+    end = len(_HALF_K_VIEWS)
+    for d in (1, 2, end - 1, end, end + 1, 128, 200, 344):
+        want = []
+        for z in zs[:300].tolist():
+            z = t = np.complex128(z)
+            for k in range(d, 0, -1):
+                t = z - (0.5 * k) / t
+            want.append(1j / np.sqrt(np.pi) / t)
+        assert laplace_w(zs[:300], d).tolist() == want, d
+        assert [laplace_point(z, d) for z in zs[:300]] == want, d
 
 
 def test_deepest_first_prefixes_match_bincount():

@@ -9,6 +9,7 @@ import pytest
 
 import voigtw
 from voigtw.oracle import ErrorReport
+from voigtw.scheme import point_branch
 
 
 def test_every_exported_name_resolves():
@@ -135,11 +136,19 @@ def test_modules_import_only_their_lower_layers():
         lambda x: voigtw.eval_w_internal(x, 0.05, voigtw.select_params(0.05)),
         lambda x: voigtw.dawson_cf(x, 61),
         voigtw.external_depth,
+        lambda y: voigtw.eval_w_batch([1.0], y),
+        lambda x: voigtw.eval_w(x, 0.05),
+        lambda y: voigtw.eval_w(1.0, y),
+        lambda x: point_branch(x, 0.05),
+        lambda y: point_branch(1.0, y),
     ],
-    ids=["eval_w_batch", "eval_w_internal", "dawson_cf", "external_depth"],
+    ids=["eval_w_batch", "eval_w_internal", "dawson_cf", "external_depth", "eval_w_batch-y",
+         "eval_w-x", "eval_w-y", "point_branch-x", "point_branch-y"],
 )
 def test_complex_input_is_rejected(call):
-    # a cast to float64 would drop the imaginary part with only a warning
-    for x in (np.array([1 + 2j]), np.array([3 + 0j, 8 + 0j]), np.complex128(1 + 2j), 1 + 2j, [1 + 2j]):
+    # a cast to float64, or float() of a numpy complex, would drop the
+    # imaginary part with only a warning
+    for x in (np.array([1 + 2j]), np.array([3 + 0j, 8 + 0j]), np.complex128(1 + 2j), 1 + 2j, [1 + 2j],
+              np.array(0.05 + 0j), np.complex64(0.05)):
         with pytest.raises(TypeError):
             call(x)

@@ -121,6 +121,19 @@ def test_split_at_x_c_is_the_hypot_rule(y):
         assert (kb, lb) == tuple(want), (x, y)
 
 
+def test_x_c_is_the_hypot_rule_at_dense_y():
+    # x_c is the least x with np.hypot(x, y) >= z_c(y), the rule the tests
+    # above check point by point.  At the last five y a search on
+    # math.hypot, correctly rounded where glibc 2.36's hypot is not always,
+    # ends one step higher
+    ys = np.exp(np.random.default_rng(13).uniform(np.log(5e-324), np.log(0.1), 2000)).tolist()
+    ys += [0.07615185995053753, 0.08332003705372187, 0.09988637816653, 0.07576568776628242,
+           0.0322730460053709]
+    for y in ys:
+        z_c, x_c = boundary_z_c(y), boundary_x_c(y)
+        assert np.hypot(x_c, y) >= z_c > np.hypot(np.nextafter(x_c, 0), y), y
+
+
 def test_point_branch_reports_the_depth_used():
     assert point_branch(-3.0, 0.0) == ("axis", "dawson_depth", 61)
     # inside z_c: the Dawson polynomial's bin, out to the last x inside

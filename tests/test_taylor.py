@@ -70,6 +70,49 @@ class TestCoefficientFold:
         with pytest.raises(ValueError):
             build_y_coefficients(bad, P16)
 
+    def test_matches_the_integer_table_fold(self):
+        # the fold reads float rows prebuilt from the exact tables; the
+        # reference converts each integer and its sign term by term
+        ys = [0.0, 5e-324, 1e-300, 1e-100, 0.1]
+        ys += np.exp(np.random.default_rng(12).uniform(np.log(1e-20), np.log(0.1), 200)).tolist()
+        for y in ys:
+            for n in range(17):
+                got = build_y_coefficients(y, SeriesParams(n, 61, 6))
+                assert [list(map(float.hex, v)) for v in got] == _reference_fold(y, n), (y, n)
+
+
+def _reference_fold(y, n_max):
+    """The fold as six lists of float.hex, each integer table entry converted where it is used."""
+    tables = get_tables()
+    even, odd = [1.0], [y]
+    for m in range(1, n_max + 1):
+        even.append(odd[m - 1] * y / (2 * m))
+        odd.append(even[m] * y / (2 * m + 1))
+    alpha, beta, gamma, alpha_p, beta_p, gamma_p = [], [], [], [], [], []
+    for n in range(n_max + 1):
+        a = b = ap = bp = g = gp = 0.0
+        for m in range(n_max, n - 1, -1):
+            pmn = float(tables.p_rows[m][n])
+            hmn = float(tables.h_rows[2 * m + 1][n])
+            sgn = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
+            a += pmn * even[m]
+            b += sgn * hmn * odd[m]
+            bp += sgn * hmn * even[m]
+            if m >= 1:
+                ap += pmn * odd[m - 1]
+            if m >= n + 1:
+                qmn = float(tables.q_rows[m][n])
+                g += qmn * even[m]
+                gp += qmn * odd[m - 1]
+        alpha.append(a)
+        beta.append(b)
+        alpha_p.append(y * a - 0.5 * ap)
+        beta_p.append(y * b - 0.5 * bp)
+        if n <= n_max - 1:
+            gamma.append(g)
+            gamma_p.append(y * g - 0.5 * gp)
+    return [list(map(float.hex, v)) for v in (alpha, beta, gamma, alpha_p, beta_p, gamma_p)]
+
 
 def test_fold_cache_is_bounded():
     # the batch path's fold lives in the per-y record that scalar calls share
