@@ -62,24 +62,12 @@ def _grid(lo, hi, count, scale):
     return np.linspace(lo, hi, count)
 
 
-def _point_deltas(k, l, ref):
-    """Per-component relative errors, tolerating an exactly-zero reference
-    component (then 0 if the approximation is also zero, inf otherwise)."""
-    ref_re, ref_im = float(ref.real), float(ref.imag)
-    if ref_im == 0.0:
-        d_im = 0.0 if l == 0.0 else float("inf")
-        return abs(k - ref_re) / abs(ref_re), d_im
-    rep = rel_errors(complex(k, l), ref)
-    return rep.delta_re, rep.delta_im
-
-
 def cmd_eval(args):
     value = eval_w(args.x, args.y)
     print(f"K = {value.k:.16e}")
     print(f"L = {value.l:.16e}")
     if args.check:
-        ref = ref_w(args.x, args.y)
-        d_re, d_im = _point_deltas(value.k, value.l, ref)
+        d_re, d_im = rel_errors(complex(value.k, value.l), ref_w(args.x, args.y))
         print(f"delta_re = {d_re:.3e}")
         print(f"delta_im = {d_im:.3e}")
     # y = 0 has no boundary: every x takes the series on the axis
@@ -106,7 +94,7 @@ def cmd_errmap(args):
             k_arr, l_arr = eval_w_batch(xs, float(y))
             d_res, d_ims = [], []
             for x, k, l in zip(xs, k_arr, l_arr):
-                d_re, d_im = _point_deltas(k, l, ref_w(float(x), float(y)))
+                d_re, d_im = rel_errors(complex(k, l), ref_w(float(x), float(y)))
                 d_res.append(d_re)
                 d_ims.append(d_im)
                 writer.writerow([_fmt(x), _fmt(y), _fmt(d_re), _fmt(d_im)])
@@ -182,7 +170,7 @@ def best_laplace_error(r, y):
     Measured against the oracle, never against the internal branch.
     """
     x = float(np.sqrt(r * r - y * y))
-    ref = complex(ref_w(x, y))
+    ref = ref_w(x, y)
     z = complex(x, y)
     return min(max(rel_errors(laplace_w(z, n), ref)) for n in _BOUNDARY_DEPTH_GRID)
 
@@ -230,7 +218,9 @@ def build_parser():
     p.add_argument("--check", action="store_true", help="also print oracle deltas")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("errmap", help="CSV error map vs the oracle")
+    p = sub.add_parser("errmap", help="CSV error map vs the oracle", description=(
+        "Per-point errors vs the oracle over an x-y grid, then each y row's max and mean: "
+        "per component |approx - ref| / max(|ref|, 2^-1022), ref unrounded (oracle.rel_errors)."))
     p.add_argument("--x-min", type=float, required=True)
     p.add_argument("--x-max", type=float, required=True)
     p.add_argument("--x-count", type=int, required=True)

@@ -33,7 +33,7 @@ operations in the same order, so the same bits.  The array loop reads
 4k and 2k - 1 as float64 0-d views of one table, which a ufunc takes as
 they are; a Python number it converts on every call (at 400 points and
 depth 61 about a third of the fraction's time).  A depth past the table
-takes Python ints, which convert exactly.
+takes Python ints, made one level at a time, which convert exactly.
 """
 
 import math
@@ -150,7 +150,7 @@ def _fraction_array(x, n):
     if n < len(_LEVEL_OPS):
         levels = _LEVEL_OPS[n:0:-1]
     else:
-        levels = [(4 * k, 2 * k - 1) for k in range(n, 0, -1)]
+        levels = ((4 * k, 2 * k - 1) for k in range(n, 0, -1))
     for four_k, odd in levels:
         # t = (2k - 1) + 2x^2 - 4k x^2 / t
         np.multiply(four_k, x2, s)

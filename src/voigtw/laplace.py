@@ -49,6 +49,7 @@ it matched numpy's bits, cost more.
 import math
 import numbers
 from bisect import bisect_right
+from itertools import repeat
 
 import numpy as np
 
@@ -148,7 +149,7 @@ def external_branch(ax, y, k, l, at):
     x = x.take(order, out=block[2 * n : 3 * n], mode="clip")
     np.copyto(z.real, x)
     z.imag = y
-    z[order] = _run_levels(z, t, ends)
+    z[order] = _run_levels(z, t, len(ends), ends)
     k[at] = z.real
     l[at] = z.imag
 
@@ -172,21 +173,21 @@ def _deepest_first(depth):
 
 
 def _numerators(n, table):
-    """k/2 for k = n, n - 1, ..., 1, from table if it holds row n, else as Python floats."""
-    return table[n:0:-1] if n < len(table) else [0.5 * k for k in range(n, 0, -1)]
+    """k/2 for k = n, ..., 1: table's rows if it holds row n, else Python floats made per level."""
+    return table[n:0:-1] if n < len(table) else (0.5 * k for k in range(n, 0, -1))
 
 
-def _run_levels(z, t, ends):
-    """The fraction at the points z, cut into levels as `_deepest_first` gave.
+def _run_levels(z, t, top, ends):
+    """The depth-top fraction at the points z, cut into levels as `_deepest_first` gave.
 
     t, like z, is the workspace; both are contiguous complex128.  Level
-    k = len(ends) - i is t = z - (k/2)/t over the first ends[i] points,
-    and ends never falls.  Returns w in z's order, in t.
+    k = top - i is t = z - (k/2)/t over the first ends[i] points, and
+    the iterable ends never falls.  Returns w in z's order, in t.
     """
     np.copyto(t, z)
     u = np.empty_like(t) if t.size <= _OWN_QUOTIENT_MAX else t
     m = -1
-    for half_k, end in zip(_numerators(len(ends), _HALF_K_VIEWS), ends):
+    for half_k, end in zip(_numerators(top, _HALF_K_VIEWS), ends):
         if end != m:  # slice again only where the prefix grows
             m = end
             th, uh, zh = t[:m], u[:m], z[:m]
@@ -218,5 +219,5 @@ def laplace_w(z, n_c):
     if not np.isfinite(z).all():
         raise ValueError("laplace_w requires finite z")
     zs = z.ravel()
-    w = _run_levels(zs, np.empty_like(zs), [zs.size] * n_c)
+    w = _run_levels(zs, np.empty_like(zs), n_c, repeat(zs.size))
     return w.reshape(z.shape) if z.ndim else complex(w[0])

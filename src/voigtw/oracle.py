@@ -14,6 +14,12 @@ Two mutually independent routes are provided:
 Axis cases use analytic closed forms (K(x,0) = exp(-x^2), L(x,0) =
 2 D(x)/sqrt(pi), K(0,y) = exp(y^2) erfc(y), L(0,y) = 0).
 
+`rel_errors` is the one measure of error against the reference: per
+component |approx - ref| / max(|ref|, 2^-1022) at 40 digits.  The
+reference is not rounded to a double first, so a correctly rounded
+approx reads its rounding error, not 0; a zero or subnormal reference
+component needs no special case, and one subnormal ulp reads 2^-52.
+
 `dawson_q_table` and `laplace_depth_steps` derive the evaluator's Dawson
 polynomials and its far-field Laplace depths from the reference.
 
@@ -118,14 +124,13 @@ def laplace_depth_steps(edges):
 
 
 def _laplace_error(x, y, n, ref):
-    """Componentwise relative error of the depth-n fraction at x + iy vs ref."""
+    """The larger `rel_errors` component of the depth-n fraction at x + iy vs ref."""
     with mp.workdps(_BASE_DPS):
         z = mp.mpc(x, y)
         t = z
         for k in range(n, 0, -1):
             t = z - mp.mpf(k) / 2 / t
-        w = mp.mpc(0, 1) / (mp.sqrt(mp.pi) * t)
-        return max(abs(w.real - ref.real) / abs(ref.real), abs(w.imag - ref.imag) / abs(ref.imag))
+        return max(rel_errors(mp.mpc(0, 1) / (mp.sqrt(mp.pi) * t), ref))
 
 
 def ref_erfcx(y):
@@ -243,13 +248,14 @@ class ErrorReport(NamedTuple):
     delta_im: float
 
 
+_TINY = mp.mpf(2) ** -1022  # the smallest normal double
+
+
 def rel_errors(approx, ref):
-    """Componentwise |approx - ref| / |ref|, computed in multiprecision."""
-    ref = mp.mpc(ref)
-    if ref.real == 0 or ref.imag == 0:
-        raise ValueError("relative error undefined: reference component is zero")
-    approx = mp.mpc(approx)
-    return ErrorReport(
-        delta_re=float(abs(approx.real - ref.real) / abs(ref.real)),
-        delta_im=float(abs(approx.imag - ref.imag) / abs(ref.imag)),
-    )
+    """Componentwise |approx - ref| / max(|ref|, 2^-1022), at 40 digits."""
+    with mp.workdps(_BASE_DPS):
+        approx, ref = mp.mpc(approx), mp.mpc(ref)
+        return ErrorReport(
+            delta_re=float(abs(approx.real - ref.real) / max(abs(ref.real), _TINY)),
+            delta_im=float(abs(approx.imag - ref.imag) / max(abs(ref.imag), _TINY)),
+        )

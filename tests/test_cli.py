@@ -1,4 +1,5 @@
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,9 +30,21 @@ class TestEval:
         assert all(d <= 1e-13 for d in deltas)
 
     def test_y_zero_check_handles_exact_axis(self, capsys):
+        # K(3, 0) is the double nearest e^-9, and the check reads its
+        # rounding error against the unrounded reference, not 0
         assert main(["eval", "--x", "3.0", "--y", "0.0", "--check"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert float(out[2].split("=")[1]) == 0.0
+        with mp.workdps(40):
+            k = mp.exp(-9)
+            want = abs(mp.mpf(float(k)) - k) / k
+        assert out[2] == f"delta_re = {float(want):.3e}" == "delta_re = 9.494e-17"
+
+    def test_check_where_k_underflows(self, capsys):
+        # K(1e12, 1e-300) is far below the smallest normal: its error is
+        # measured against 2^-1022, not against the underflowing K
+        assert main(["eval", "--x", "1e12", "--y", "1e-300", "--check"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert float(out[2].split("=")[1]) <= 5e-13
 
     @pytest.mark.parametrize(
         "x, y, branch, line",
@@ -121,6 +134,17 @@ class TestErrmap:
             _, _, d_re, d_im = line.split(",")
             assert float(d_re) <= 5e-13
             assert float(d_im) <= 2e-15
+
+    def test_axis_where_k_underflows(self, tmp_path):
+        # on y = 0, K = e^-x^2 underflows to 0 from |x| = 27.3 on, the
+        # correctly rounded value: it reads no error there
+        out = tmp_path / "axis.csv"
+        argv = ["errmap", "--x-min", "0", "--x-max", "40", "--x-count", "9",
+                "--y-min", "0", "--y-max", "0", "--y-count", "1", "--out", str(out)]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:10]]
+        assert [float(r[0]) for r in rows] == list(range(0, 41, 5))
+        assert all(float(r[2]) <= 5e-13 for r in rows)
 
     def test_byte_deterministic(self, tmp_path):
         a = run_errmap(tmp_path, "a.csv")

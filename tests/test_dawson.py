@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -110,6 +111,19 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
     # a 2-D and an empty call
     assert np.array_equal(dawson_cf(xs.reshape(2, 4), 61).ravel(), dawson_cf(xs, 61))
     assert dawson_cf(np.empty(0), 61).shape == (0,)
+
+
+def test_deep_fraction_memory_stays_bounded():
+    # past the operand table the levels are made one at a time, so one
+    # point at depth 20000 holds no per-level object
+    dawson_cf(1.5, 20000)
+    tracemalloc.start()
+    try:
+        dawson_cf(1.5, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_huge_x_per_point_depths():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,21 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
             want.append(1j / np.sqrt(np.pi) / t)
         assert laplace_w(zs[:300], d).tolist() == want, d
         assert [laplace_point(z, d) for z in zs[:300]] == want, d
+
+
+@pytest.mark.parametrize("fraction", [laplace_w, laplace_point])
+def test_deep_fraction_memory_stays_bounded(fraction):
+    # past the numerator table the levels are made one at a time, and
+    # laplace_w's prefixes are one repeated size, so one point at depth
+    # 20000 holds no per-level object
+    fraction(3 + 0.1j, 20000)
+    tracemalloc.start()
+    try:
+        fraction(3 + 0.1j, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_deepest_first_prefixes_match_bincount():

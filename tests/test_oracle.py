@@ -146,9 +146,21 @@ class TestRelErrors:
         assert rep.delta_re == pytest.approx(2.0**-40, rel=1e-6)
         assert rep.delta_im == 0.0
 
-    def test_rejects_zero_component(self):
-        with pytest.raises(ValueError):
-            rel_errors(1 + 1j, mp.mpc(1, 0))
+    def test_floor_at_smallest_normal(self):
+        # the denominator is max(|ref|, 2^-1022): a zero component needs no
+        # special case, and one subnormal ulp reads 2^-52
+        assert rel_errors(1 + 0j, mp.mpc(1, 0)) == ErrorReport(0.0, 0.0)
+        assert rel_errors(complex(1, 2.0**-1074), mp.mpc(1, 0)) == ErrorReport(0.0, 2.0**-52)
+
+    def test_correctly_rounded_reads_its_rounding_error(self):
+        # the reference is not rounded to a double before the subtraction
+        ref = ref_w(1.3, 0.05)
+        approx = complex(ref)  # each component correctly rounded
+        with mp.workdps(40):
+            want = [float(abs(mp.mpf(a) - r) / abs(r))
+                    for a, r in ((approx.real, ref.real), (approx.imag, ref.imag))]
+        assert list(rel_errors(approx, ref)) == want
+        assert [f"{e:.2e}" for e in want] == ["1.19e-17", "5.97e-17"]
 
     def test_production_point(self):
         from voigtw.scheme import eval_w
