@@ -6,7 +6,7 @@ A million points per domain at y = 1e-8, timed.  The domains split at
 z_c(y), as the dispatcher splits them (the sample `voigtw bench` draws).
 The batch path folds the per-y series coefficients once for the whole
 array, evaluates the internal points with the Taylor series, reading
-D(x)/x from one polynomial per 1/4-wide bin of x, and evaluates all
+D(x)/x from one polynomial per 1/16-wide bin of x, and evaluates all
 external points in one Laplace continued-fraction call with one depth
 per point, taken from |x|.  Results are bit-identical to pointwise
 evaluation.  The printed rate depends on the machine; perfbench/ holds

@@ -2,20 +2,20 @@
 
 The Taylor series needs D(x) only as Q(x) = D(x)/x, an even function
 with Q(0) = 1.  On [0, Q_TAIL) `dawson_q` reads Q from one polynomial
-per bin of width 1/4,
+per bin of width 1/16,
 
-    Q(x) ~ sum_k c[k, i] t^k,   i = floor(4x),  t = x - (i + 1/2)/4,
+    Q(x) ~ sum_k c[k, i] t^k,   i = floor(16x),  t = x - (i + 1/2)/16,
 
-of degree 11: the Chebyshev interpolant of Q on the bin, rewritten as
+of degree 8: the Chebyshev interpolant of Q on the bin, rewritten as
 monomials in t and rounded to doubles (after Cody, Paciorek & Thacher,
 "Chebyshev approximations for Dawson's integral", Math. Comp. 24, 1970).
 The table is package data, `dawson_q.npy`, generated from the
 multiprecision oracle by `oracle.dawson_q_table()`; it is stored
-degree-major, so each Horner step gathers one contiguous row.  4x is
-exact, and so is t from x = 1/16 on; Q stays within 1 ulp of the oracle.
-Q_TAIL = 81.5 lies past x_c(5e-324) = 81.30, the widest reach of the
-series inside the computing boundary, so the series needs no other
-evaluator.
+degree-major, so each Horner step gathers one contiguous row.  16x is
+exact, and so is t from x = 1/64 on; Q stays within 1 ulp of the oracle.
+Its 1301 bins end at Q_TAIL = 81.3125, the first bin edge past
+x_c(5e-324) = 81.302, the widest reach of the series inside the
+computing boundary, so the series needs no other evaluator.
 
 The y = 0 axis takes D(x) from the depth-n truncation of the continued
 fraction
@@ -43,7 +43,7 @@ import os
 import numpy as np
 
 #: Bins per unit of x in the polynomial table, which `oracle.dawson_q_table` builds.
-BINS_PER_UNIT = 4
+BINS_PER_UNIT = 16
 # _Q_COEFFS[k, i]: the t^k coefficient of bin i
 _Q_COEFFS = np.load(os.path.join(os.path.dirname(__file__), "dawson_q.npy"))
 _Q_CENTRES = (np.arange(_Q_COEFFS.shape[1]) + 0.5) / BINS_PER_UNIT
@@ -75,10 +75,9 @@ def dawson_q(x):
     return acc.reshape(shape)
 
 
-# per bin, for one point without a numpy call: the leading coefficient
-# and a tuple of the others from the next degree down (a tuple, as a
-# slice per call would allocate a list)
-_Q_ROWS = [(col[-1], tuple(col[-2::-1])) for col in _Q_COEFFS.T.tolist()]
+# per bin, for one point without a numpy call: its coefficients from the
+# highest degree down
+_Q_ROWS = _Q_COEFFS[::-1].T.tolist()
 _Q_CENTRE_LIST = _Q_CENTRES.tolist()
 
 
@@ -91,8 +90,9 @@ def q_point(x):
     """dawson_q at one float 0 <= x < Q_TAIL, in float arithmetic: the same bits."""
     i = int(x * BINS_PER_UNIT)
     t = x - _Q_CENTRE_LIST[i]
-    acc, rest = _Q_ROWS[i]
-    for c in rest:
+    it = iter(_Q_ROWS[i])
+    acc = next(it)
+    for c in it:
         acc = acc * t + c
     return acc
 

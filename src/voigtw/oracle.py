@@ -53,22 +53,22 @@ def ref_dawson(x, dps=_BASE_DPS):
 
 # dawson_q_table: the degree of each bin's polynomial, and the working
 # precision of its solve
-_Q_DEGREE = 11
+_Q_DEGREE = 8
 _Q_DPS = 60
 
 
-def dawson_q_table(bins=range(326)):
+def dawson_q_table(bins=range(1301)):
     """Bin polynomials for Q(x) = D(x)/x, as `voigtw.dawson` stores them.
 
-    Bin i covers [i, i + 1) / 4, the bin layout `voigtw.dawson` reads;
-    the default 326 bins cover [0, 81.5), past x_c(5e-324) = 81.30.
-    Its polynomial interpolates Q at the 12 Chebyshev nodes of the bin,
-    solved for the degree-11 monomials in t = x - (i + 1/2) / 4 in
+    Bin i covers [i, i + 1) / 16, the bin layout `voigtw.dawson` reads;
+    the default 1301 bins cover [0, 81.3125), past x_c(5e-324) = 81.302.
+    Its polynomial interpolates Q at the 9 Chebyshev nodes of the bin,
+    solved for the degree-8 monomials in t = x - (i + 1/2) / 16 in
     multiprecision and only then rounded to doubles.  The Vandermonde
-    system is ill-conditioned: at 40 digits a few high-degree
-    coefficients still round differently, from 60 on the table no longer
+    system is ill-conditioned: at 40 digits the t^6 to t^8 coefficients
+    of many bins still round differently, from 60 on the table no longer
     changes (checked at 80 and 100).
-    Returns a float64 array of shape (12, len(bins)), degree-major: row k
+    Returns a float64 array of shape (9, len(bins)), degree-major: row k
     holds the t^k coefficient of each bin.
     """
     import numpy as np

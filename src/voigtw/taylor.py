@@ -156,7 +156,11 @@ def series_array(c, x):
     acc = q
     for b, g, out in ((c.beta_p, c.gamma_p, k), (c.beta, c.gamma, l)):
         out += np.multiply(ex, _horner_array(b, x2, acc), out=acc)
-        out += np.multiply(ONE_OVER_SQRT_PI, _horner_array(g, x2, acc), out=acc)
+        g_sum = _horner_array(g, x2, acc)
+        if g_sum is acc:
+            out += np.multiply(ONE_OVER_SQRT_PI, acc, out=acc)
+        else:  # a float, at N <= 1: one scalar, rounded as the float path rounds it
+            out += ONE_OVER_SQRT_PI * g_sum
     l *= x
     return k, l
 
@@ -167,7 +171,7 @@ def eval_w_internal(x, y, params):
     Folds the coefficients for y on every call and checks x, then runs
     `series_array` at |x|; params.n_d is not used, as Q(x) comes from the
     bin polynomials.  K is even and L odd in x.  Returns floats for a
-    scalar x, else arrays of x's shape.  Defined for |x| < Q_TAIL = 81.5,
+    scalar x, else arrays of x's shape.  Defined for |x| < Q_TAIL = 81.3125,
     the extent of the bin table, which holds every |x| < x_c(y) the
     dispatcher sends the series; raises ValueError for any other x, NaN
     included, and TypeError for a complex x.

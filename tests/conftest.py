@@ -23,12 +23,19 @@ def dawson_maclaurin(x, dps=40):
         return +s
 
 
+# rel_err's floor: the smallest normal double
+_TINY = mp.mpf(2) ** -1022
+
+
 def rel_err(approx, ref):
-    """Relative error with an mpmath (or float) reference, as a float."""
-    ref = mp.mpf(ref) if not isinstance(ref, mp.mpc) else ref
-    if ref == 0:
-        return 0.0 if approx == 0 else float("inf")
-    return float(abs(approx - ref) / abs(ref))
+    """|approx - ref| / max(|ref|, 2^-1022) at 40 digits, as a float.
+
+    `oracle.rel_errors`' measure: an mpmath reference is taken at the
+    precision it carries, never rounded to a double first, and a
+    reference below the smallest normal counts as 2^-1022.
+    """
+    with mp.workdps(40):
+        return float(abs(mp.mpmathify(approx) - ref) / max(abs(mp.mpmathify(ref)), _TINY))
 
 
 def ulps(n=1):

@@ -49,10 +49,10 @@ class TestEval:
     @pytest.mark.parametrize(
         "x, y, branch, line",
         [
-            (1.0, 0.05, "internal", "dawson_bin = 4"),
-            (-5.0, 1e-8, "internal", "dawson_bin = 20"),
+            (1.0, 0.05, "internal", "dawson_bin = 16"),
+            (-5.0, 1e-8, "internal", "dawson_bin = 80"),
             # a bin past 17.5, inside z_c only for y below about 1e-110
-            (20.0, 1e-300, "internal", "dawson_bin = 80"),
+            (20.0, 1e-300, "internal", "dawson_bin = 320"),
             (30.0, 0.01, "external", f"laplace_depth = {external_depth(30.0)}"),
             # the first x outside, at the deepest Laplace step
             (boundary_x_c(0.05), 0.05, "external", "laplace_depth = 21"),

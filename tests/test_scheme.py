@@ -138,11 +138,11 @@ def test_point_branch_reports_the_depth_used():
     assert point_branch(-3.0, 0.0) == ("axis", "dawson_depth", 61)
     # inside z_c: the Dawson polynomial's bin, out to the last x inside
     # z_c at the smallest y
-    assert point_branch(-1.0, 0.05) == ("internal", "dawson_bin", 4)
+    assert point_branch(-1.0, 0.05) == ("internal", "dawson_bin", 16)
     assert point_branch(0.0, 0.05) == ("internal", "dawson_bin", 0)
-    assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "dawson_bin", 69)
-    assert point_branch(17.5, 1e-300) == ("internal", "dawson_bin", 70)
-    assert point_branch(np.nextafter(boundary_x_c(5e-324), 0), 5e-324) == ("internal", "dawson_bin", 325)
+    assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "dawson_bin", 279)
+    assert point_branch(17.5, 1e-300) == ("internal", "dawson_bin", 280)
+    assert point_branch(np.nextafter(boundary_x_c(5e-324), 0), 5e-324) == ("internal", "dawson_bin", 1300)
     # outside it, the depth at |x|
     assert point_branch(30.0, 0.01) == ("external", "laplace_depth", 6)
     assert point_branch(-1e300, 1e-300) == ("external", "laplace_depth", 1)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rel_err, ulps
 from voigtw.coeffs import get_tables
-from voigtw.dawson import Q_TAIL, _Q_COEFFS
+from voigtw.dawson import BINS_PER_UNIT, Q_TAIL, _Q_COEFFS
 from voigtw.oracle import ref_dawson, ref_erfcx, ref_w
 from voigtw.scheme import _y_record, boundary_x_c, eval_w, eval_w_batch, select_params
 from voigtw.taylor import SeriesParams, build_y_coefficients, eval_w_internal
@@ -210,7 +210,7 @@ class TestEvalWInternal:
         # every bin edge of the Dawson polynomials up to Q_TAIL and its
         # neighbours, and the last x inside z_c(y); the edges past x_c(y)
         # take the Laplace fraction
-        edges = np.arange(_Q_COEFFS.shape[1] + 1) / 4
+        edges = np.arange(_Q_COEFFS.shape[1] + 1) / BINS_PER_UNIT
         xs = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
                              [np.nextafter(boundary_x_c(y), 0)]])
         assert edges[-1] == Q_TAIL
@@ -220,7 +220,9 @@ class TestEvalWInternal:
         assert np.array_equal(got, want)
 
 
-# one y per series order N = 1..7, then y = 0 and the least y > 0
+# one y per series order N = 1..7, then y = 0 and the least y > 0; at
+# N = 1 each gamma sum is one float, which the array series adds as one
+# scalar product
 _KERNEL_YS = [(1e-30, 1), (1e-5, 2), (1e-3, 3), (0.01, 4), (0.03, 5), (0.05, 6), (0.1, 7),
               (0.0, 1), (5e-324, 1)]
 
