@@ -55,24 +55,36 @@ Q_TAIL = _Q_COEFFS.shape[1] / BINS_PER_UNIT
 def dawson_q(x):
     """Q(x) = D(x)/x from the bin polynomials, for 0 <= x < Q_TAIL.
 
-    x is a scalar or an ndarray; returns a float64 array of its shape.
-    Points outside [0, Q_TAIL) get the value of the nearest bin's
-    polynomial, which is not Q there.
+    x is a scalar or an ndarray; returns a fresh float64 array of its
+    shape.  Points outside [0, Q_TAIL) get the value of the nearest bin's
+    polynomial, which is not Q there.  `q_into`'s three scratch rows are
+    one (3, n) float64 block, freed on return.
     """
     shape = np.shape(x)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    t = np.multiply(x, BINS_PER_UNIT)
-    b = t.astype(np.intp)
+    t, b, row = np.empty((3, x.size))
+    return q_into(x, np.empty_like(t), t, b, row).reshape(shape)
+
+
+def q_into(x, q, t, b, row):
+    """dawson_q of a 1-d float64 x, written into q; returns q.
+
+    t, b and row are contiguous float64 scratch rows of x's length, none
+    of them x or q: t holds 16x and then t; b, viewed as intp, the bin
+    index; row each gathered coefficient row of the Horner loop.
+    """
+    b = b.view(np.intp)[: x.size]
+    np.multiply(x, BINS_PER_UNIT, out=t)
+    np.copyto(b, t, casting="unsafe")  # truncates, as astype(np.intp) does
     _Q_CENTRES.take(b, out=t, mode="clip")
     np.subtract(x, t, out=t)
     # Horner in t, gathering one coefficient row per degree
-    acc = _Q_COEFFS[-1].take(b, mode="clip")
-    tmp = np.empty_like(acc)
-    for row in _Q_COEFFS[-2::-1]:
-        acc *= t
-        row.take(b, out=tmp, mode="clip")
-        acc += tmp
-    return acc.reshape(shape)
+    _Q_COEFFS[-1].take(b, out=q, mode="clip")
+    for c in _Q_COEFFS[-2::-1]:
+        q *= t
+        c.take(b, out=row, mode="clip")
+        q += row
+    return q
 
 
 # per bin, for one point without a numpy call: its coefficients from the

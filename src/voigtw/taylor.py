@@ -12,9 +12,20 @@ Q is even with Q(0) = 1, so the same sum gives K(0, y) = e^{y^2} erfc y
 and no point needs a division or a special case.  Q comes from the bin
 polynomials of `dawson.dawson_q`, which cover every x inside the
 computing boundary.  x^2, q and exp(-x^2) are shared between K and L.
-Arrays take `series_array`, the expressions above run in place in one
-workspace; one point (`scheme.eval_w`) runs the same operations in the
-same order on Python floats, so both give every point the same bits.
+Arrays take `series_array`, the expressions above run in place; one
+point (`scheme.eval_w`) runs the same operations in the same order on
+Python floats, so both give every point the same bits.
+
+`series_array` allocates three arrays per call: one float64 block of
+three rows of n, for q, x^2 and e^{-x^2}, and the K and L it returns.
+While Q is computed, Dawson's scratch rows are the rows still idle: 16x
+and t in x^2, the bin index in e^{-x^2}, each gathered coefficient row
+in K.  No buffer outlives the call.  As in `laplace`, one block matters
+for page faults more than for bytes: glibc raises its mmap threshold to
+the largest mmapped chunk freed and its trim threshold to twice that,
+so once one block carries the call's scratch, what the call frees stays
+below the trim threshold and the heap keeps its pages for the next
+call.
 The fold is O(N^2) but x-independent; `scheme` keeps it in its one per-y
 record, which batch and scalar calls share.  It reads float forms of the
 p, q and signed h rows, built from the exact tables at import, so a
@@ -27,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coeffs import DEFAULT_M_MAX, get_tables
-from .dawson import Q_TAIL, dawson_q
+from .dawson import Q_TAIL, q_into
 
 ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -138,19 +149,23 @@ def _horner_array(coeffs, x2, out):
 
 def series_array(c, x):
     """K and L of the series from the fold c over a 1-d array of
-    0 <= x < Q_TAIL, unchecked, with Q from `dawson_q`.  Each Horner sum
-    runs from the highest degree down; the q A terms come first, then q's
-    buffer holds the other four sums.  Every operation runs in place, and
-    x itself is never written.  `scheme.eval_w` runs these operations in
-    this order on floats, so one point gets the same bits either way.
+    0 <= x < Q_TAIL, unchecked, with Q from `dawson.q_into`.  Each Horner
+    sum runs from the highest degree down; the q A terms come first, then
+    q's row holds the other four sums.  Every operation runs in place in
+    one (3, n) block, rows q, x^2 and e^{-x^2}, which also lends Q its
+    scratch rows with K, and x itself is never written.  K and L are
+    fresh arrays; the block is freed on return, and is one chunk so that
+    what the call frees stays below glibc's trim threshold (see the
+    module docstring).  `scheme.eval_w` runs these operations in this
+    order on floats, so one point gets the same bits either way.
     """
-    q = dawson_q(x)
-    x2, ex = np.empty((2, x.size))
+    q, x2, ex = np.empty((3, x.size))
+    k = np.empty_like(x2)
+    l = np.empty_like(x2)
+    q_into(x, q, x2, ex, k)  # its scratch rows are idle until Q is done
     np.multiply(x, x, out=x2)
     np.exp(np.negative(x2, out=ex), out=ex)
     q *= ONE_OVER_SQRT_PI
-    k = np.empty_like(x2)
-    l = np.empty_like(x2)
     for a, out in ((c.alpha_p, k), (c.alpha, l)):
         np.multiply(q, _horner_array(a, x2, out), out=out)
     acc = q

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
+from voigtw.dawson import dawson_q
 from voigtw.laplace import _EXT_DEPTH_EDGES, _EXT_DEPTHS, laplace_w
 from voigtw.scheme import (
     _BOUNDARY_CUBICS,
@@ -523,6 +524,48 @@ class TestExternalKernel:
             finally:
                 tracemalloc.stop()
             assert peak <= 1_084_192, xs[0]
+
+
+class TestInternalKernel:
+    """The series branch of eval_w_batch: its memory per call and between calls."""
+
+    @pytest.mark.parametrize("y", [1e-8, 1e-3, 0.05])
+    def test_peak_memory_of_one_call(self, y):
+        # tracemalloc peak of one 16384-point call inside x_c: 656384 B
+        # unsigned and 787568 B signed before the series took its
+        # temporaries from one block, 656625 B and 787809 B after (numpy
+        # 2.4.6), five and six arrays of 8n bytes; the workspace never
+        # raises it past them
+        n = 16384
+        ax = np.random.default_rng(4).uniform(0.0, boundary_x_c(y), n)
+        for xs, arrays in ((ax, 5), (-ax, 6)):  # a sign bit adds the |x| copy
+            eval_w_batch(xs, y)
+            tracemalloc.start()
+            try:
+                eval_w_batch(xs, y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= arrays * 8 * n + 4096, (y, arrays)
+
+    def test_consecutive_calls_share_no_memory(self):
+        # no buffer outlives a call: a second call leaves the first one's
+        # K and L as they were, and no output aliases an input or another output
+        rng = np.random.default_rng(5)
+        first_x = rng.uniform(0.0, boundary_x_c(1e-3), 16384)
+        second_x = -rng.uniform(0.0, boundary_x_c(0.05), 16384)
+        first = eval_w_batch(first_x, 1e-3)
+        saved = [a.tobytes() for a in first]
+        second = eval_w_batch(second_x, 0.05)
+        assert [a.tobytes() for a in first] == saved
+        outputs = [*first, *second]
+        for i, a in enumerate(outputs):
+            assert not np.shares_memory(a, first_x) and not np.shares_memory(a, second_x)
+            assert not any(np.shares_memory(a, b) for b in outputs[i + 1 :])
+        xs = first_x.reshape(128, 128)
+        q = dawson_q(xs)
+        assert q.shape == xs.shape and not np.shares_memory(q, xs)
+        assert not np.shares_memory(q, dawson_q(xs))
 
 
 def test_dispatch_continuity_subset():
