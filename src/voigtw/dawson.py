@@ -13,9 +13,9 @@ The table is package data, `dawson_q.npy`, generated from the
 multiprecision oracle by `oracle.dawson_q_table()`; it is stored
 degree-major, so each Horner step gathers one contiguous row.  16x is
 exact, and so is t from x = 1/64 on; Q stays within 1 ulp of the oracle.
-Its 1301 bins end at Q_TAIL = 81.3125, the first bin edge past
-x_c(5e-324) = 81.302, the widest reach of the series inside the
-computing boundary, so the series needs no other evaluator.
+Its 437 bins end at Q_TAIL = 27.3125, the least bin edge where
+np.exp(-x*x) is 0; the dispatcher sends no larger x to the series
+(`scheme.boundary_x_c`), so the series needs no other evaluator.
 
 The y = 0 axis takes D(x) from the depth-n truncation of the continued
 fraction
@@ -48,7 +48,7 @@ BINS_PER_UNIT = 16
 _Q_COEFFS = np.load(os.path.join(os.path.dirname(__file__), "dawson_q.npy"))
 _Q_CENTRES = (np.arange(_Q_COEFFS.shape[1]) + 0.5) / BINS_PER_UNIT
 
-#: The bin polynomials cover [0, Q_TAIL), past x_c(y) at every y > 0.
+#: The bin polynomials cover [0, Q_TAIL), which holds x_c(y) at every y > 0.
 Q_TAIL = _Q_COEFFS.shape[1] / BINS_PER_UNIT
 
 

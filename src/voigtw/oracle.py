@@ -57,11 +57,12 @@ _Q_DEGREE = 8
 _Q_DPS = 60
 
 
-def dawson_q_table(bins=range(1301)):
+def dawson_q_table(bins=range(437)):
     """Bin polynomials for Q(x) = D(x)/x, as `voigtw.dawson` stores them.
 
     Bin i covers [i, i + 1) / 16, the bin layout `voigtw.dawson` reads;
-    the default 1301 bins cover [0, 81.3125), past x_c(5e-324) = 81.302.
+    the default 437 bins cover [0, 27.3125), the series' reach.  Each bin
+    is solved alone, so a subset of bins gives the same columns.
     Its polynomial interpolates Q at the 9 Chebyshev nodes of the bin,
     solved for the degree-8 monomials in t = x - (i + 1/2) / 16 in
     multiprecision and only then rounded to doubles.  The Vandermonde

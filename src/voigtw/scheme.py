@@ -4,9 +4,9 @@ The evaluation point is reduced to x >= 0 (K is even and L odd in x), the
 truncation parameters are selected from the calibrated per-y bands, and
 the point is dispatched by |z| against the computing boundary z_c(y): the
 Taylor series inside, the Laplace continued fraction outside.  Dispatch
-compares x with x_c(y), the first x whose hypot(x, y) reaches z_c(y)
-(`boundary_x_c`), so the branch is the one |z| < z_c(y) picks without a
-|z| per point.
+compares x with x_c(y) (`boundary_x_c`): the first x whose hypot(x, y)
+reaches the paper's z_c(y), or Q_TAIL = 27.3125, where the Dawson table
+ends and e^{-x^2} is 0 so the fraction is the whole answer, if nearer.
 The per-y state (parameters, coefficient fold, x_c) is one record of a
 128-entry LRU cache keyed by y (`_y_record`), which batch calls,
 `eval_w` and `point_branch` all read.  A batch whose points all take one
@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dawson import dawson_cf, dawson_point, q_bin, q_point
+from .dawson import Q_TAIL, dawson_cf, dawson_point, q_bin, q_point
 from .laplace import external_branch, external_depth, laplace_point, point_depth
 from .taylor import (
     ONE_OVER_SQRT_PI, SeriesParams, VoigtValue, Y_MAX, build_y_coefficients, series_array,
@@ -105,9 +105,10 @@ def boundary_z_c(y, level=1e-16):
 def boundary_x_c(y):
     """First x >= 0 that the dispatcher sends to the Laplace fraction, for y > 0.
 
-    The least double x_c with hypot(x_c, y) >= z_c(y).  hypot is monotone
-    in x, so for x >= 0 the test x < x_c takes the same branch as
-    hypot(x, y) < z_c(y) without computing a hypot per point.
+    The least double x_c with hypot(x_c, y) >= z_c(y): hypot is monotone
+    in x, so for x >= 0 the test x < x_c stands for hypot(x, y) < z_c(y).
+    Below y = 7.54e-191 that x passes Q_TAIL, where np.exp(-x*x), the one
+    term of K the fraction lacks, is 0; x_c is then Q_TAIL.
     """
     y = float(y)  # a float32 y would step x_c by float64 ulps that its hypot never sees
     z_c = boundary_z_c(y)
@@ -116,7 +117,7 @@ def boundary_x_c(y):
         x_c = math.nextafter(x_c, math.inf)
     while np.hypot(x_in := math.nextafter(x_c, 0.0), y) >= z_c:
         x_c = x_in
-    return x_c
+    return min(x_c, Q_TAIL)
 
 
 def select_params(y, level=1e-16):
@@ -224,11 +225,9 @@ def point_branch(x, y):
 def eval_w(x, y):
     """Evaluate w(x + iy) at a single point; returns VoigtValue(k, l) of floats.
 
-    Bit for bit eval_w_batch's result, computed in scalar arithmetic.
-    Inside z_c it runs `taylor.series_array`'s operations in its order on
-    Python floats: each Horner sum walks its fold tuple from the highest
-    degree down, and `np.exp`'s result is taken as a float at once, so no
-    numpy scalar arithmetic follows.
+    Bit for bit eval_w_batch's result, computed in scalar arithmetic (see
+    the module docstring): inside z_c it runs `taylor.series_array`'s
+    operations in its order, each Horner sum from the highest degree down.
     """
     y = y if type(y) is float else _real(y, "y")
     params, fold, x_c = _y_record(y)

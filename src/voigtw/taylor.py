@@ -186,7 +186,7 @@ def eval_w_internal(x, y, params):
     Folds the coefficients for y on every call and checks x, then runs
     `series_array` at |x|; params.n_d is not used, as Q(x) comes from the
     bin polynomials.  K is even and L odd in x.  Returns floats for a
-    scalar x, else arrays of x's shape.  Defined for |x| < Q_TAIL = 81.3125,
+    scalar x, else arrays of x's shape.  Defined for |x| < Q_TAIL = 27.3125,
     the extent of the bin table, which holds every |x| < x_c(y) the
     dispatcher sends the series; raises ValueError for any other x, NaN
     included, and TypeError for a complex x.

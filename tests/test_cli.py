@@ -46,6 +46,14 @@ class TestEval:
         out = capsys.readouterr().out.splitlines()
         assert float(out[2].split("=")[1]) <= 5e-13
 
+    def test_check_past_the_dawson_table(self, capsys):
+        # below y = 7.54e-191 the series stops at the table's end, 27.3125,
+        # and the fraction takes (60, 1e-300) to within 2e-15
+        assert main(["eval", "--x", "60", "--y", "1e-300", "--check"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[5] == "x_c = 27.3125" and out[-2] == "branch = external"
+        assert float(out[2].split("=")[1]) <= 2e-15
+
     @pytest.mark.parametrize(
         "x, y, branch, line",
         [
@@ -238,13 +246,15 @@ class TestBench:
         assert main(["bench", "--count", "10", "--y", "0.5"]) == 2
 
     def test_points_respect_domains(self):
-        # split at z_c(y), exactly where the dispatcher splits
+        # split at x_c(y), exactly where the dispatcher splits: at z_c(y),
+        # or at the Dawson table's end where that is nearer (y = 1e-300)
         for y in (1e-300, 1e-8, 1e-3, 0.05, 0.1):
-            z_c = boundary_z_c(y)
+            z_c, x_c = boundary_z_c(y), boundary_x_c(y)
             internal = bench_points(y, "internal", 500, 3)
             external = bench_points(y, "external", 500, 3)
+            assert np.all(internal < x_c) and np.all(external >= x_c)
             assert np.all(np.hypot(internal, y) < z_c)
-            assert np.all(np.hypot(external, y) >= z_c)
+            assert y == 1e-300 or np.all(np.hypot(external, y) >= z_c)
             assert np.all(external <= 4000.0)
             # seeded, hence reproducible
             assert np.array_equal(internal, bench_points(y, "internal", 500, 3))

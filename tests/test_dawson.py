@@ -205,11 +205,21 @@ def test_q_point_matches_array():
 def test_q_table_regenerates():
     # every bin from the multiprecision generator, bit for bit the package data
     assert np.array_equal(dawson_q_table(), _Q_COEFFS)
-    assert _Q_COEFFS.shape == (9, 1301) and _Q_COEFFS.flags.c_contiguous
+    assert _Q_COEFFS.shape == (9, 437) and _Q_COEFFS.flags.c_contiguous
 
 
 def test_q_table_reaches_past_every_x_c():
-    # the series' widest domain is |x| < x_c(5e-324), the smallest y > 0;
-    # the table holds it and ends within one bin of it
-    x_c = boundary_x_c(5e-324)
-    assert x_c < Q_TAIL <= x_c + 1 / BINS_PER_UNIT
+    # the series' domain is |x| < x_c(y), and x_c(y) <= Q_TAIL at every y
+    # from the smallest subnormal to Y_MAX
+    ys = np.exp(np.random.default_rng(14).uniform(np.log(5e-324), np.log(0.1), 2000)).tolist()
+    for y in ys + [5e-324, 1e-300, 7.5e-191, 7.6e-191, 1e-100, 0.1]:
+        assert boundary_x_c(y) <= Q_TAIL, y
+    assert boundary_x_c(5e-324) == Q_TAIL
+
+
+def test_q_tail_is_where_exp_underflows():
+    # Q_TAIL is the least bin edge from which e^{-x^2} is 0 in float64, the
+    # one term of K the Laplace fraction lacks
+    edges = np.arange(_Q_COEFFS.shape[1] + 2) / BINS_PER_UNIT
+    assert edges[-2] == Q_TAIL
+    assert np.exp(-edges[-3] ** 2) > 0.0 == np.exp(-Q_TAIL * Q_TAIL) == np.exp(-edges[-1] ** 2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
-from voigtw.dawson import dawson_q
+from voigtw.dawson import Q_TAIL, dawson_q
 from voigtw.laplace import _EXT_DEPTH_EDGES, _EXT_DEPTHS, laplace_w
 from voigtw.scheme import (
     _BOUNDARY_CUBICS,
@@ -101,7 +101,8 @@ def test_both_level_lookups_accept_the_same_levels():
 @pytest.mark.parametrize("y", [5e-324, 1e-300, 1e-100, 1e-8, 0.05, 0.1])
 def test_split_at_x_c_is_the_hypot_rule(y):
     # dispatch tests x < x_c(y); around x_c it must send every point where
-    # hypot(x, y) < z_c(y) sends it, and evaluate it on that branch
+    # hypot(x, y) < z_c(y) and x < Q_TAIL send it, and evaluate it on that
+    # branch (below y = 7.54e-191 the table's end is the nearer cut)
     z_c, x_c = boundary_z_c(y), boundary_x_c(y)
     below, above = [x_c], [x_c]
     for _ in range(3):
@@ -111,7 +112,7 @@ def test_split_at_x_c_is_the_hypot_rule(y):
     params = select_params(y)
     k, l = eval_w_batch(xs, y)
     for x, kb, lb in zip(xs, k, l):
-        inside = np.hypot(x, y) < z_c
+        inside = np.hypot(x, y) < z_c and x < Q_TAIL
         assert inside == (x < x_c)
         assert point_branch(x, y)[0] == ("internal" if inside else "external")
         if inside:
@@ -124,15 +125,18 @@ def test_split_at_x_c_is_the_hypot_rule(y):
 
 def test_x_c_is_the_hypot_rule_at_dense_y():
     # x_c is the least x with np.hypot(x, y) >= z_c(y), the rule the tests
-    # above check point by point.  At the last five y a search on
-    # math.hypot, correctly rounded where glibc 2.36's hypot is not always,
-    # ends one step higher
+    # above check point by point, where that x lies below Q_TAIL; else it
+    # is Q_TAIL.  At the last five y a search on math.hypot, correctly
+    # rounded where glibc 2.36's hypot is not always, ends one step higher
     ys = np.exp(np.random.default_rng(13).uniform(np.log(5e-324), np.log(0.1), 2000)).tolist()
     ys += [0.07615185995053753, 0.08332003705372187, 0.09988637816653, 0.07576568776628242,
            0.0322730460053709]
     for y in ys:
         z_c, x_c = boundary_z_c(y), boundary_x_c(y)
-        assert np.hypot(x_c, y) >= z_c > np.hypot(np.nextafter(x_c, 0), y), y
+        assert z_c > np.hypot(np.nextafter(x_c, 0), y), y
+        assert np.hypot(x_c, y) >= z_c if x_c < Q_TAIL else x_c == Q_TAIL, y
+    # the cubic reaches Q_TAIL at y = 7.54e-191
+    assert boundary_x_c(7.5e-191) == Q_TAIL > boundary_x_c(7.6e-191)
 
 
 def test_point_branch_reports_the_depth_used():
@@ -143,7 +147,7 @@ def test_point_branch_reports_the_depth_used():
     assert point_branch(0.0, 0.05) == ("internal", "dawson_bin", 0)
     assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "dawson_bin", 279)
     assert point_branch(17.5, 1e-300) == ("internal", "dawson_bin", 280)
-    assert point_branch(np.nextafter(boundary_x_c(5e-324), 0), 5e-324) == ("internal", "dawson_bin", 1300)
+    assert point_branch(np.nextafter(boundary_x_c(5e-324), 0), 5e-324) == ("internal", "dawson_bin", 436)
     # outside it, the depth at |x|
     assert point_branch(30.0, 0.01) == ("external", "laplace_depth", 6)
     assert point_branch(-1e300, 1e-300) == ("external", "laplace_depth", 1)
@@ -415,19 +419,21 @@ class TestBatch:
                                            (0.05, 0.0, 80.0), (0.0, 0.0, 80.0)])
     def test_inputs_are_never_written(self, y, lo, hi):
         # internal, external, mixed and axis calls, on a read-only array, a
-        # strided view and float32; |x| < 80 lies in eval_w_internal's domain
+        # strided view, a transpose and float32; eval_w_internal takes the
+        # same forms of the points in its domain, |x| < Q_TAIL
         rng = np.random.default_rng(5)
         base = rng.uniform(lo, hi, 96) * rng.choice([-1.0, 1.0], 96)
-        readonly = base.copy()
-        readonly.setflags(write=False)
-        for xs in (readonly, base[::3], base.reshape(8, 12).T, base.astype(np.float32)):
-            owner = xs if xs.base is None else xs.base
-            before = owner.tobytes()
-            k, l = eval_w_batch(xs, y)
-            assert k.shape == xs.shape and np.all(np.isfinite(k))
-            k, l = eval_w_internal(xs, y, select_params(y))
-            assert k.shape == xs.shape and np.all(np.isfinite(l))
-            assert owner.tobytes() == before
+        inner = base[np.abs(base) < Q_TAIL]
+        for f, a in ((eval_w_batch, base),
+                     (lambda xs, y: eval_w_internal(xs, y, select_params(y)), inner[: inner.size // 12 * 12])):
+            readonly = a.copy()
+            readonly.setflags(write=False)
+            for xs in (readonly, a[::3], a.reshape(-1, 12).T, a.astype(np.float32)):
+                owner = xs if xs.base is None else xs.base
+                before = owner.tobytes()
+                k, l = f(xs, y)
+                assert k.shape == xs.shape and np.all(np.isfinite(k)) and np.all(np.isfinite(l))
+                assert owner.tobytes() == before
 
     def test_empty(self):
         k, l = eval_w_batch([], 0.05)
@@ -667,3 +673,25 @@ def test_oracle_bounds_l_below_1e_100():
         ref = ref_w(x, y).imag
         assert abs(l - ref) <= max(2e-15 * abs(ref), 2.0**-1074), (x, y)
         checked += 1
+
+
+def test_fraction_side_of_the_q_tail_cut():
+    # below y = 7.54e-191 the cubic's x_c passes Q_TAIL, and the points on
+    # [Q_TAIL, x_c) take the Laplace fraction: e^{-x^2} is 0 there, so the
+    # fraction is as good as K and L's contract asks.  y log-uniform in
+    # [5e-324, 7.5e-191] and x on [Q_TAIL, sqrt(z_c^2 - y^2)), both signs
+    rng = np.random.default_rng(191)
+    ys = [5e-324, 1e-300, *np.exp(rng.uniform(np.log(5e-324), np.log(7.5e-191), 10)).tolist()]
+    for y in ys:
+        y = max(y, 5e-324)
+        z_c = boundary_z_c(y)
+        xs = [Q_TAIL, np.nextafter(Q_TAIL, np.inf), *rng.uniform(Q_TAIL, math.sqrt(z_c * z_c - y * y), 3)]
+        xs = np.array(xs) * rng.choice([-1.0, 1.0], len(xs))
+        assert point_branch(np.nextafter(Q_TAIL, 0), y)[0] == "internal"
+        kb, lb = eval_w_batch(xs, y)
+        for x, kx, lx in zip(xs.tolist(), kb.tolist(), lb.tolist()):
+            assert eval_w(x, y) == (kx, lx), (x, y)
+            assert point_branch(x, y)[0] == "external", (x, y)
+            ref = ref_w(x, y)
+            assert abs(kx - ref.real) <= max(2e-15 * abs(ref.real), 2.0**-1074), (x, y)
+            assert abs(lx - ref.imag) <= max(2e-15 * abs(ref.imag), 2.0**-1074), (x, y)

@@ -131,7 +131,7 @@ class TestEvalL:
         assert eval_w_internal(0.0, 0.05, P16).l == 0.0
 
     def test_parity(self):
-        xs = np.array([0.3, 2.0, 6.1, 17.0, 17.5, 30.0])
+        xs = np.array([0.3, 2.0, 6.1, 17.0, 17.5, 27.3])
         k, l = eval_w_internal(xs, 1e-300, P16)
         km, lm = eval_w_internal(-xs, 1e-300, P16)
         assert np.array_equal(km, k) and np.array_equal(lm, -l)
