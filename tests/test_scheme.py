@@ -2,6 +2,7 @@ import inspect
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -100,9 +101,11 @@ def test_both_level_lookups_accept_the_same_levels():
 
 @pytest.mark.parametrize("y", [5e-324, 1e-300, 1e-100, 1e-8, 0.05, 0.1])
 def test_split_at_x_c_is_the_hypot_rule(y):
-    # dispatch tests x < x_c(y); around x_c it must send every point where
-    # hypot(x, y) < z_c(y) and x < Q_TAIL send it, and evaluate it on that
-    # branch (below y = 7.54e-191 the table's end is the nearer cut)
+    # dispatch tests x < x_c(y); at these six y the closed form x_c is also
+    # the least x with hypot(x, y) >= z_c(y), so around x_c it must send
+    # every point where hypot(x, y) < z_c(y) and x < Q_TAIL send it, and
+    # evaluate it on that branch (below y = 7.54e-191 the table's end is
+    # the nearer cut)
     z_c, x_c = boundary_z_c(y), boundary_x_c(y)
     below, above = [x_c], [x_c]
     for _ in range(3):
@@ -123,18 +126,22 @@ def test_split_at_x_c_is_the_hypot_rule(y):
         assert (kb, lb) == tuple(want), (x, y)
 
 
-def test_x_c_is_the_hypot_rule_at_dense_y():
-    # x_c is the least x with np.hypot(x, y) >= z_c(y), the rule the tests
-    # above check point by point, where that x lies below Q_TAIL; else it
-    # is Q_TAIL.  At the last five y a search on math.hypot, correctly
-    # rounded where glibc 2.36's hypot is not always, ends one step higher
+def test_x_c_is_the_closed_form_at_dense_y():
+    # x_c is sqrt(z_c^2 - y^2) in correctly rounded float64 operations, no
+    # C library's hypot, where that lies below Q_TAIL; else it is Q_TAIL.
+    # At each of these y the exact root, in rationals, lies strictly
+    # between x_c's neighbours (at about 3 in 10^4 y it lies up to 1.07
+    # ulp from x_c, past a neighbour)
     ys = np.exp(np.random.default_rng(13).uniform(np.log(5e-324), np.log(0.1), 2000)).tolist()
-    ys += [0.07615185995053753, 0.08332003705372187, 0.09988637816653, 0.07576568776628242,
-           0.0322730460053709]
+    inside = 0
     for y in ys:
         z_c, x_c = boundary_z_c(y), boundary_x_c(y)
-        assert z_c > np.hypot(np.nextafter(x_c, 0), y), y
-        assert np.hypot(x_c, y) >= z_c if x_c < Q_TAIL else x_c == Q_TAIL, y
+        assert x_c == min(math.sqrt(z_c * z_c - y * y), Q_TAIL), y
+        if x_c < Q_TAIL:
+            inside += 1
+            below, above = math.nextafter(x_c, 0.0), math.nextafter(x_c, math.inf)
+            assert Fraction(below) ** 2 < Fraction(z_c) ** 2 - Fraction(y) ** 2 < Fraction(above) ** 2, y
+    assert inside == 1179
     # the cubic reaches Q_TAIL at y = 7.54e-191
     assert boundary_x_c(7.5e-191) == Q_TAIL > boundary_x_c(7.6e-191)
 
@@ -172,7 +179,8 @@ def test_point_branch_rejects_what_eval_w_rejects(x, y):
      np.array(0.05), np.array(1e-30)],
 )
 def test_narrow_or_0d_y_acts_as_its_float(y):
-    # a float32 y once stalled the x_c search: the hypot ran in float32
+    # every reader takes float(y): in boundary_x_c, y * y of a float32 y
+    # would stay float32 and move x_c
     fy = float(y)
     xs = np.r_[0.0, -1.0, 2.5, 30.0, -4000.0]
     if fy > 0.0:
