@@ -2,20 +2,21 @@
 
 The Taylor series needs D(x) only as Q(x) = D(x)/x, an even function
 with Q(0) = 1.  On [0, Q_TAIL) `dawson_q` reads Q from one polynomial
-per bin of width 1/16,
+per bin of width 1/128,
 
-    Q(x) ~ sum_k c[k, i] t^k,   i = floor(16x),  t = x - (i + 1/2)/16,
+    Q(x) ~ sum_k c[k, i] s^k,   i = floor(128x),  s = 128x - i,
 
-of degree 8: the Chebyshev interpolant of Q on the bin, rewritten as
-monomials in t and rounded to doubles (after Cody, Paciorek & Thacher,
+of degree 5: the Chebyshev interpolant of Q on the bin, rewritten as
+monomials in s and rounded to doubles (after Cody, Paciorek & Thacher,
 "Chebyshev approximations for Dawson's integral", Math. Comp. 24, 1970).
 The table is package data, `dawson_q.npy`, generated from the
 multiprecision oracle by `oracle.dawson_q_table()`; it is stored
-degree-major, so each Horner step gathers one contiguous row.  16x is
-exact, and so is t from x = 1/64 on; Q stays within 1 ulp of the oracle.
-Its 437 bins end at Q_TAIL = 27.3125, the least bin edge where
-np.exp(-x*x) is 0; the dispatcher sends no larger x to the series
-(`scheme.boundary_x_c`), so the series needs no other evaluator.
+degree-major, so each Horner step gathers one contiguous row.  128x and
+s are exact for every x, so a point costs six gathers and no bin
+centre; Q stays within 1 ulp of the oracle.  Its 3495 bins end at
+Q_TAIL = 27.3046875, the least bin edge where np.exp(-x*x) is 0; the
+dispatcher sends no larger x to the series (`scheme.boundary_x_c`), so
+the series needs no other evaluator.
 
 The y = 0 axis takes D(x) from the depth-n truncation of the continued
 fraction
@@ -43,10 +44,9 @@ import os
 import numpy as np
 
 #: Bins per unit of x in the polynomial table, which `oracle.dawson_q_table` builds.
-BINS_PER_UNIT = 16
-# _Q_COEFFS[k, i]: the t^k coefficient of bin i
+BINS_PER_UNIT = 128
+# _Q_COEFFS[k, i]: the s^k coefficient of bin i
 _Q_COEFFS = np.load(os.path.join(os.path.dirname(__file__), "dawson_q.npy"))
-_Q_CENTRES = (np.arange(_Q_COEFFS.shape[1]) + 0.5) / BINS_PER_UNIT
 
 #: The bin polynomials cover [0, Q_TAIL), which holds x_c(y) at every y > 0.
 Q_TAIL = _Q_COEFFS.shape[1] / BINS_PER_UNIT
@@ -56,41 +56,41 @@ def dawson_q(x):
     """Q(x) = D(x)/x from the bin polynomials, for 0 <= x < Q_TAIL.
 
     x is a scalar or an ndarray; returns a fresh float64 array of its
-    shape.  Points outside [0, Q_TAIL) get the value of the nearest bin's
+    shape.  Points outside [0, Q_TAIL) get the value of an end bin's
     polynomial, which is not Q there.  `q_into`'s three scratch rows are
     one (3, n) float64 block, freed on return.
     """
     shape = np.shape(x)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    t, b, row = np.empty((3, x.size))
-    return q_into(x, np.empty_like(t), t, b, row).reshape(shape)
+    s, b, row = np.empty((3, x.size))
+    return q_into(x, np.empty_like(s), s, b, row).reshape(shape)
 
 
-def q_into(x, q, t, b, row):
+def q_into(x, q, s, b, row):
     """dawson_q of a 1-d float64 x, written into q; returns q.
 
-    t, b and row are contiguous float64 scratch rows of x's length, none
-    of them x or q: t holds 16x and then t; b, viewed as intp, the bin
-    index; row each gathered coefficient row of the Horner loop.
+    s, b and row are contiguous float64 scratch rows of x's length, none
+    of them x or q: s holds 128x and then s; b, viewed as intp, the bin
+    index; row the bin index as a float and then each gathered
+    coefficient row of the Horner loop.
     """
     b = b.view(np.intp)[: x.size]
-    np.multiply(x, BINS_PER_UNIT, out=t)
-    np.copyto(b, t, casting="unsafe")  # truncates, as astype(np.intp) does
-    _Q_CENTRES.take(b, out=t, mode="clip")
-    np.subtract(x, t, out=t)
-    # Horner in t, gathering one coefficient row per degree
+    np.multiply(x, BINS_PER_UNIT, out=s)
+    np.trunc(s, out=row)  # as int() truncates
+    np.copyto(b, row, casting="unsafe")
+    np.subtract(s, row, out=s)
+    # Horner in s, gathering one coefficient row per degree
     _Q_COEFFS[-1].take(b, out=q, mode="clip")
     for c in _Q_COEFFS[-2::-1]:
-        q *= t
+        q *= s
         c.take(b, out=row, mode="clip")
         q += row
     return q
 
 
-# per bin, for one point without a numpy call: its coefficients from the
-# highest degree down
-_Q_ROWS = _Q_COEFFS[::-1].T.tolist()
-_Q_CENTRE_LIST = _Q_CENTRES.tolist()
+# for one point without a numpy call: the coefficient rows from the
+# highest degree down, read as floats in place
+_Q_ROW_VIEWS = tuple(map(memoryview, _Q_COEFFS[::-1]))
 
 
 def q_bin(x):
@@ -100,13 +100,11 @@ def q_bin(x):
 
 def q_point(x):
     """dawson_q at one float 0 <= x < Q_TAIL, in float arithmetic: the same bits."""
-    i = int(x * BINS_PER_UNIT)
-    t = x - _Q_CENTRE_LIST[i]
-    it = iter(_Q_ROWS[i])
-    acc = next(it)
-    for c in it:
-        acc = acc * t + c
-    return acc
+    u = x * BINS_PER_UNIT
+    i = int(u)
+    s = u - i
+    c5, c4, c3, c2, c1, c0 = _Q_ROW_VIEWS
+    return ((((c5[i] * s + c4[i]) * s + c3[i]) * s + c2[i]) * s + c1[i]) * s + c0[i]
 
 
 def dawson_cf(x, n_d):

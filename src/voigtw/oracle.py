@@ -53,24 +53,22 @@ def ref_dawson(x, dps=_BASE_DPS):
 
 # dawson_q_table: the degree of each bin's polynomial, and the working
 # precision of its solve
-_Q_DEGREE = 8
+_Q_DEGREE = 5
 _Q_DPS = 60
 
 
-def dawson_q_table(bins=range(437)):
+def dawson_q_table(bins=range(3495)):
     """Bin polynomials for Q(x) = D(x)/x, as `voigtw.dawson` stores them.
 
-    Bin i covers [i, i + 1) / 16, the bin layout `voigtw.dawson` reads;
-    the default 437 bins cover [0, 27.3125), the series' reach.  Each bin
-    is solved alone, so a subset of bins gives the same columns.
-    Its polynomial interpolates Q at the 9 Chebyshev nodes of the bin,
-    solved for the degree-8 monomials in t = x - (i + 1/2) / 16 in
-    multiprecision and only then rounded to doubles.  The Vandermonde
-    system is ill-conditioned: at 40 digits the t^6 to t^8 coefficients
-    of many bins still round differently, from 60 on the table no longer
-    changes (checked at 80 and 100).
-    Returns a float64 array of shape (9, len(bins)), degree-major: row k
-    holds the t^k coefficient of each bin.
+    Bin i covers [i, i + 1) / 128, the bin layout `voigtw.dawson` reads;
+    the default 3495 bins cover [0, 27.3046875), the series' reach.  Each
+    bin is solved alone, so a subset of bins gives the same columns.
+    Its polynomial interpolates Q at the 6 Chebyshev nodes of the bin,
+    solved for the degree-5 monomials in s = 128x - i, s in [0, 1], in
+    multiprecision and only then rounded to doubles.  The solve runs at
+    60 digits; every bin comes out the same at 40, 80 and 100.
+    Returns a float64 array of shape (6, len(bins)), degree-major: row k
+    holds the s^k coefficient of each bin.
     """
     import numpy as np
 
@@ -79,11 +77,10 @@ def dawson_q_table(bins=range(437)):
     n = _Q_DEGREE + 1
     table = np.empty((n, len(bins)))
     with mp.workdps(_Q_DPS):
-        h = 1 / mp.mpf(2 * BINS_PER_UNIT)
-        t = [h * mp.cos(mp.pi * (j + mp.mpf(1) / 2) / n) for j in range(n)]
-        vandermonde = mp.matrix([[tj**k for k in range(n)] for tj in t])
+        s = [(1 + mp.cos(mp.pi * (j + mp.mpf(1) / 2) / n)) / 2 for j in range(n)]
+        vandermonde = mp.matrix([[sj**k for k in range(n)] for sj in s])
         for col, i in enumerate(bins):
-            x = [(2 * i + 1) * h + tj for tj in t]
+            x = [(i + sj) / BINS_PER_UNIT for sj in s]
             q = mp.matrix([ref_dawson(xj, _Q_DPS) / xj for xj in x])
             table[:, col] = [float(c) for c in mp.lu_solve(vandermonde, q)]
     return table

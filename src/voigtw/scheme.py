@@ -5,7 +5,7 @@ truncation parameters are selected from the calibrated per-y bands, and
 the point is dispatched by |z| against the computing boundary z_c(y): the
 Taylor series inside, the Laplace continued fraction outside.  Dispatch
 compares x with x_c(y) = sqrt(z_c^2 - y^2) (`boundary_x_c`), z_c(y) the
-paper's cubic, or Q_TAIL = 27.3125, where the Dawson table ends and
+paper's cubic, or Q_TAIL = 27.3046875, where the Dawson table ends and
 e^{-x^2} is 0 so the fraction is the whole answer, if nearer.
 The per-y state (parameters, coefficient fold, x_c) is one record of a
 128-entry LRU cache keyed by y (`_y_record`), which batch calls,
@@ -109,7 +109,7 @@ def boundary_x_c(y):
     C library hypot: for x >= 0, x < x_c stands for |x + iy| < z_c(y) but
     at the floats next to the exact root, which lies within 1.07 ulp of
     x_c (within one at all but 95 of 3e5 y checked in rationals).
-    Below y = 7.54e-191 that x passes Q_TAIL, where np.exp(-x*x), the one
+    Below y = 8.29e-191 that x passes Q_TAIL, where np.exp(-x*x), the one
     term of K the fraction lacks, is 0; x_c is then Q_TAIL.
     """
     y = float(y)  # under NEP 50 a float32 y would make y * y float32

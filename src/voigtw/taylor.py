@@ -18,14 +18,14 @@ Python floats, so both give every point the same bits.
 
 `series_array` allocates three arrays per call: one float64 block of
 three rows of n, for q, x^2 and e^{-x^2}, and the K and L it returns.
-While Q is computed, Dawson's scratch rows are the rows still idle: 16x
-and t in x^2, the bin index in e^{-x^2}, each gathered coefficient row
-in K.  No buffer outlives the call.  As in `laplace`, one block matters
-for page faults more than for bytes: glibc raises its mmap threshold to
-the largest mmapped chunk freed and its trim threshold to twice that,
-so once one block carries the call's scratch, what the call frees stays
-below the trim threshold and the heap keeps its pages for the next
-call.
+While Q is computed, Dawson's scratch rows are the rows still idle:
+128x and s in x^2, the bin index in e^{-x^2}, its float and each
+gathered coefficient row in K.  No buffer outlives the call.  As in
+`laplace`, one block matters for page faults more than for bytes: glibc
+raises its mmap threshold to the largest mmapped chunk freed and its
+trim threshold to twice that, so once one block carries the call's
+scratch, what the call frees stays below the trim threshold and the heap
+keeps its pages for the next call.
 The fold is O(N^2) but x-independent; `scheme` keeps it in its one per-y
 record, which batch and scalar calls share.  It reads float forms of the
 p, q and signed h rows, built from the exact tables at import, so a
@@ -186,10 +186,10 @@ def eval_w_internal(x, y, params):
     Folds the coefficients for y on every call and checks x, then runs
     `series_array` at |x|; params.n_d is not used, as Q(x) comes from the
     bin polynomials.  K is even and L odd in x.  Returns floats for a
-    scalar x, else arrays of x's shape.  Defined for |x| < Q_TAIL = 27.3125,
-    the extent of the bin table, which holds every |x| < x_c(y) the
-    dispatcher sends the series; raises ValueError for any other x, NaN
-    included, and TypeError for a complex x.
+    scalar x, else arrays of x's shape.  Defined for |x| < Q_TAIL =
+    27.3046875, the extent of the bin table, which holds every |x| <
+    x_c(y) the dispatcher sends the series; raises ValueError for any
+    other x, NaN included, and TypeError for a complex x.
     """
     if np.iscomplexobj(x):
         raise TypeError("x must be real")

@@ -47,20 +47,20 @@ class TestEval:
         assert float(out[2].split("=")[1]) <= 5e-13
 
     def test_check_past_the_dawson_table(self, capsys):
-        # below y = 7.54e-191 the series stops at the table's end, 27.3125,
+        # below y = 8.29e-191 the series stops at the table's end, 27.3046875,
         # and the fraction takes (60, 1e-300) to within 2e-15
         assert main(["eval", "--x", "60", "--y", "1e-300", "--check"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[5] == "x_c = 27.3125" and out[-2] == "branch = external"
+        assert out[5] == "x_c = 27.3046875" and out[-2] == "branch = external"
         assert float(out[2].split("=")[1]) <= 2e-15
 
     @pytest.mark.parametrize(
         "x, y, branch, line",
         [
-            (1.0, 0.05, "internal", "dawson_bin = 16"),
-            (-5.0, 1e-8, "internal", "dawson_bin = 80"),
+            (1.0, 0.05, "internal", "dawson_bin = 128"),
+            (-5.0, 1e-8, "internal", "dawson_bin = 640"),
             # a bin past 17.5, inside z_c only for y below about 1e-110
-            (20.0, 1e-300, "internal", "dawson_bin = 320"),
+            (20.0, 1e-300, "internal", "dawson_bin = 2560"),
             (30.0, 0.01, "external", f"laplace_depth = {external_depth(30.0)}"),
             # the first x outside, at the deepest Laplace step
             (boundary_x_c(0.05), 0.05, "external", "laplace_depth = 21"),

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dawson_maclaurin, rel_err, ulps
-from voigtw.dawson import BINS_PER_UNIT, Q_TAIL, _LEVEL_OPS, _Q_COEFFS, dawson_cf, dawson_point, dawson_q, q_bin, q_point
+from voigtw.dawson import BINS_PER_UNIT, Q_TAIL, _LEVEL_OPS, _Q_COEFFS, dawson_cf, dawson_point, dawson_q, q_bin, q_into, q_point
 from voigtw.oracle import dawson_q_table, ref_dawson
 from voigtw.scheme import boundary_x_c, eval_w, select_params
 from voigtw.taylor import eval_w_internal
@@ -203,16 +205,46 @@ def test_q_point_matches_array():
 
 
 def test_q_table_regenerates():
-    # every bin from the multiprecision generator, bit for bit the package data
-    assert np.array_equal(dawson_q_table(), _Q_COEFFS)
-    assert _Q_COEFFS.shape == (9, 437) and _Q_COEFFS.flags.c_contiguous
+    # a seeded sample of bins from the multiprecision generator, bit for bit
+    # the package data: the generator solves each bin alone, so the sample's
+    # columns are the table's (CI regenerates every bin)
+    last = _Q_COEFFS.shape[1] - 1
+    drawn = np.random.default_rng(30).choice(np.arange(2, last), 64, replace=False)
+    bins = [0, 1, last, *sorted(drawn.tolist())]
+    assert np.array_equal(dawson_q_table(bins), _Q_COEFFS[:, bins])
+    assert _Q_COEFFS.shape == (6, 3495) and _Q_COEFFS.flags.c_contiguous
+
+
+def test_q_bin_offset_is_exact():
+    # s = 128x - floor(128x) is exact on the array path and in q_point, so a
+    # point's polynomial is read at its exact offset in the bin: seeded x,
+    # every bin edge and its neighbours, x below 1/64 and subnormal x
+    rng = np.random.default_rng(31)
+    edges = np.arange(_Q_COEFFS.shape[1]) / BINS_PER_UNIT
+    xs = np.concatenate([
+        rng.uniform(0.0, Q_TAIL, 2000), edges, np.nextafter(edges, np.inf), np.nextafter(edges[1:], 0),
+        rng.uniform(0.0, 1 / 64, 200), [np.nextafter(Q_TAIL, 0), 5e-324, 1e-320, 1e-310, 2.2250738585072014e-308],
+    ])
+    n = xs.size
+    q, s, b, row = np.empty((4, n))
+    q_into(xs, q, s, b, row)
+    i = b.view(np.intp)
+    for x, s_arr, i_arr, q_arr in zip(xs.tolist(), s.tolist(), i.tolist(), q.tolist()):
+        u = Fraction(x) * BINS_PER_UNIT
+        exact = u - math.floor(u)
+        assert i_arr == math.floor(u) == q_bin(x) and Fraction(s_arr) == exact, x
+        # q_point's value is the bin's Horner sum at the exact offset
+        acc = 0.0
+        for c in _Q_COEFFS[::-1, i_arr].tolist():
+            acc = acc * s_arr + c
+        assert q_point(x) == acc == q_arr, x
 
 
 def test_q_table_reaches_past_every_x_c():
     # the series' domain is |x| < x_c(y), and x_c(y) <= Q_TAIL at every y
     # from the smallest subnormal to Y_MAX
     ys = np.exp(np.random.default_rng(14).uniform(np.log(5e-324), np.log(0.1), 2000)).tolist()
-    for y in ys + [5e-324, 1e-300, 7.5e-191, 7.6e-191, 1e-100, 0.1]:
+    for y in ys + [5e-324, 1e-300, 8.28e-191, 8.29e-191, 1e-100, 0.1]:
         assert boundary_x_c(y) <= Q_TAIL, y
     assert boundary_x_c(5e-324) == Q_TAIL
 

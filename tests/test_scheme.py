@@ -104,7 +104,7 @@ def test_split_at_x_c_is_the_hypot_rule(y):
     # dispatch tests x < x_c(y); at these six y the closed form x_c is also
     # the least x with hypot(x, y) >= z_c(y), so around x_c it must send
     # every point where hypot(x, y) < z_c(y) and x < Q_TAIL send it, and
-    # evaluate it on that branch (below y = 7.54e-191 the table's end is
+    # evaluate it on that branch (below y = 8.29e-191 the table's end is
     # the nearer cut)
     z_c, x_c = boundary_z_c(y), boundary_x_c(y)
     below, above = [x_c], [x_c]
@@ -142,19 +142,19 @@ def test_x_c_is_the_closed_form_at_dense_y():
             below, above = math.nextafter(x_c, 0.0), math.nextafter(x_c, math.inf)
             assert Fraction(below) ** 2 < Fraction(z_c) ** 2 - Fraction(y) ** 2 < Fraction(above) ** 2, y
     assert inside == 1179
-    # the cubic reaches Q_TAIL at y = 7.54e-191
-    assert boundary_x_c(7.5e-191) == Q_TAIL > boundary_x_c(7.6e-191)
+    # the cubic reaches Q_TAIL at y = 8.29e-191
+    assert boundary_x_c(8.28e-191) == Q_TAIL > boundary_x_c(8.29e-191)
 
 
 def test_point_branch_reports_the_depth_used():
     assert point_branch(-3.0, 0.0) == ("axis", "dawson_depth", 61)
     # inside z_c: the Dawson polynomial's bin, out to the last x inside
     # z_c at the smallest y
-    assert point_branch(-1.0, 0.05) == ("internal", "dawson_bin", 16)
+    assert point_branch(-1.0, 0.05) == ("internal", "dawson_bin", 128)
     assert point_branch(0.0, 0.05) == ("internal", "dawson_bin", 0)
-    assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "dawson_bin", 279)
-    assert point_branch(17.5, 1e-300) == ("internal", "dawson_bin", 280)
-    assert point_branch(np.nextafter(boundary_x_c(5e-324), 0), 5e-324) == ("internal", "dawson_bin", 436)
+    assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "dawson_bin", 2239)
+    assert point_branch(17.5, 1e-300) == ("internal", "dawson_bin", 2240)
+    assert point_branch(np.nextafter(boundary_x_c(5e-324), 0), 5e-324) == ("internal", "dawson_bin", 3494)
     # outside it, the depth at |x|
     assert point_branch(30.0, 0.01) == ("external", "laplace_depth", 6)
     assert point_branch(-1e300, 1e-300) == ("external", "laplace_depth", 1)
@@ -684,12 +684,12 @@ def test_oracle_bounds_l_below_1e_100():
 
 
 def test_fraction_side_of_the_q_tail_cut():
-    # below y = 7.54e-191 the cubic's x_c passes Q_TAIL, and the points on
+    # below y = 8.29e-191 the cubic's x_c passes Q_TAIL, and the points on
     # [Q_TAIL, x_c) take the Laplace fraction: e^{-x^2} is 0 there, so the
     # fraction is as good as K and L's contract asks.  y log-uniform in
-    # [5e-324, 7.5e-191] and x on [Q_TAIL, sqrt(z_c^2 - y^2)), both signs
+    # [5e-324, 8.28e-191] and x on [Q_TAIL, sqrt(z_c^2 - y^2)), both signs
     rng = np.random.default_rng(191)
-    ys = [5e-324, 1e-300, *np.exp(rng.uniform(np.log(5e-324), np.log(7.5e-191), 10)).tolist()]
+    ys = [5e-324, 1e-300, *np.exp(rng.uniform(np.log(5e-324), np.log(8.28e-191), 10)).tolist()]
     for y in ys:
         y = max(y, 5e-324)
         z_c = boundary_z_c(y)
