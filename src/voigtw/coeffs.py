@@ -1,15 +1,17 @@
 """Exact integer coefficient tables for the small-y Taylor series.
 
-Three families of coefficients are needed:
+The series folds two families of coefficients:
 
-* ``h[n]``  -- odd-order (physicists') Hermite polynomials written on the
-  odd-power basis, H_n(x) = sum_k h[n][k] x^(2k+1).
 * ``p[m]``  -- even polynomials P_m(x) = sum_k p[m][k] x^(2k).
 * ``q[m]``  -- odd polynomials Q_m(x) = sum_k q[m][k] x^(2k+1).
 
 P and Q satisfy the same three-term recurrence
     R_m = (8m - 6 - 4x^2) R_{m-1} - 8(m-1)(2m-3) R_{m-2}
 with bases P_0 = 2, P_1 = 4 - 8x^2 and Q_0 = 0, Q_1 = 4x.
+
+The paper also folds the odd Hermite rows, H_n(x) = sum_k h[n][k] x^(2k+1)
+(`hermite_coeffs`); they are checked but not folded, as `taylor` reads
+their e^{-x^2} terms from the P fold.
 
 Everything here is exact arbitrary-width integer arithmetic: the entries
 grow factorially (q[7][1] = -373416960 already) and overflow 64 bits well
@@ -104,12 +106,8 @@ def p_closed_form(m, k):
 
 
 class CoeffTables(NamedTuple):
-    """Immutable bundle of the exact integer tables up to a given m_max.
+    """Immutable bundle of the exact P and Q integer tables up to a given m_max."""
 
-    h_rows maps odd n = 1, 3, ..., 2*m_max+1 to the Hermite rows.
-    """
-
-    h_rows: dict
     p_rows: tuple
     q_rows: tuple
     m_max: int
@@ -119,5 +117,4 @@ class CoeffTables(NamedTuple):
 def get_tables(m_max=DEFAULT_M_MAX):
     """Build (once) and memoize the coefficient tables up to m_max."""
     p_rows, q_rows = (tuple(map(tuple, rows)) for rows in build_pq_tables(m_max))
-    h_rows = {n: hermite_coeffs(n) for n in range(1, 2 * m_max + 2, 2)}
-    return CoeffTables(h_rows, p_rows, q_rows, m_max)
+    return CoeffTables(p_rows, q_rows, m_max)

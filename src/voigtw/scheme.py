@@ -18,14 +18,14 @@ tabulated N_D serves the y = 0 axis alone.
 `eval_w` evaluates one point in scalar arithmetic, bit for bit what
 `eval_w_batch` gives for it.  It reads the per-y record once and picks
 the branch inline.  Inside z_c the whole series is one pass of Python
-floats: the Dawson polynomial, x^2, the six Horner sums and the K and L
-sums, as IEEE + - * / round alike on floats and arrays and neither side
-fuses a multiply with an add.  exp(-x^2) stays `np.exp`'s (`math.exp`
-differs on about 4% of arguments in [-745, 0], an AVX-512 build), taken
-as a float at once so no numpy scalar arithmetic follows.  The axis
-and the external branch call the fractions' one-point forms,
-`dawson.dawson_point` on floats and `laplace.laplace_point` on
-complex128 scalars; each lives next to its array form.
+floats: the Dawson polynomial, x^2, the four Horner sums and the K and L
+sums in `series_array`'s order, as IEEE + - * / round alike on floats
+and arrays and neither side fuses a multiply with an add.  exp(-x^2)
+stays `np.exp`'s (`math.exp` differs on about 4% of arguments in
+[-745, 0], an AVX-512 build), taken as a float at once so no numpy
+scalar arithmetic follows.  The axis and the external branch call the
+fractions' one-point forms, `dawson.dawson_point` on floats and
+`laplace.laplace_point` on complex128 scalars, each next to its array form.
 
 Outside z_c the whole external branch is one call of
 `laplace.external_branch`, which looks up each point's fraction depth
@@ -242,16 +242,16 @@ def eval_w(x, y):
         ex = float(np.exp(-x2))
         q = ONE_OVER_SQRT_PI * q_point(ax)
         sums = []
-        for coeffs in fold:  # alpha, beta, gamma, then their primed partners
+        for coeffs in fold:  # alpha, h, gamma, gamma_p
             it = reversed(coeffs)
             acc = next(it, 0.0)
             for c in it:
                 acc = acc * x2 + c
             sums.append(acc)
-        a, b, g, a_p, b_p, g_p = sums
-        k = q * a_p + ex * b_p + ONE_OVER_SQRT_PI * g_p
+        a, h, g, g_p = sums
+        k = x2 * h * q + ex * a * 0.5 + ONE_OVER_SQRT_PI * g_p
         # x factored out: three products fewer, and a subnormal L rounds once
-        l = ax * (q * a + ex * b + ONE_OVER_SQRT_PI * g)
+        l = ax * (a * q - ex * h * 0.5 + ONE_OVER_SQRT_PI * g)
     if math.copysign(1.0, x) < 0.0:  # L is odd in x
         l = -l
     return VoigtValue(k, l)

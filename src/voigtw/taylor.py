@@ -1,17 +1,22 @@
 """Internal-domain evaluator: the small-y Taylor series for K and L.
 
-For a fixed y the exact integer tables are folded with powers of y into
-six coefficient vectors (alpha, beta, gamma for L; their primed partners
-for K).  Each evaluation is then three even-polynomial Horner sums in x^2
-plus Q(x) = D(x)/x, Dawson's integral over x, and one exp(-x^2):
+For a fixed y the exact P and Q integer tables are folded with powers of
+y into four coefficient vectors: alpha (A), h (H), gamma (G) and gamma_p
+(G').  Each evaluation is then four even-polynomial Horner sums in x^2
+plus Q(x) = D(x)/x, Dawson's integral over x, and exp(-x^2):
 
-    K = q A'(x^2) + e^{-x^2} B'(x^2) + (1/sqrt(pi)) G'(x^2)
-    L = x (q A(x^2) + e^{-x^2} B(x^2) + (1/sqrt(pi)) G(x^2)),   q = Q(x)/sqrt(pi)
+    K = q x^2 H(x^2) + e^{-x^2} A(x^2)/2 + (1/sqrt(pi)) G'(x^2)
+    L = x (q A(x^2) - e^{-x^2} H(x^2)/2 + (1/sqrt(pi)) G(x^2)),   q = Q(x)/sqrt(pi)
+
+with products taken as (x^2 H) q, (e^{-x^2} A)/2 and (e^{-x^2} H)/2.  The
+paper writes q A'(x^2) + e^{-x^2} B'(x^2) in K and e^{-x^2} B(x^2) in L/x,
+B and B' folded from the odd Hermite rows.  As w' = -2z w + 2i/sqrt(pi),
+B' = A/2, B = -H/2 and A'(x^2) = x^2 H(x^2) up to powers of y past the
+truncation (checked in exact rationals for N = 1 to 16).
 
 Q is even with Q(0) = 1, so the same sum gives K(0, y) = e^{y^2} erfc y
-and no point needs a division or a special case.  Q comes from the bin
-polynomials of `dawson.dawson_q`, which cover every x inside the
-computing boundary.  x^2, q and exp(-x^2) are shared between K and L.
+with no division or special case.  Q comes from the bin polynomials of
+`dawson.dawson_q`, which cover every x inside the computing boundary.
 Arrays take `series_array`, the expressions above run in place; one
 point (`scheme.eval_w`) runs the same operations in the same order on
 Python floats, so both give every point the same bits.
@@ -28,8 +33,8 @@ scratch, what the call frees stays below the trim threshold and the heap
 keeps its pages for the next call.
 The fold is O(N^2) but x-independent; `scheme` keeps it in its one per-y
 record, which batch and scalar calls share.  It reads float forms of the
-p, q and signed h rows, built from the exact tables at import, so a
-fresh y converts no big integer and computes no sign.
+p and q rows, built from the exact tables at import, so a fresh y
+converts no big integer.
 """
 
 import math
@@ -44,15 +49,10 @@ ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 Y_MAX = 0.1
 
-# The fold's operands as floats: p and q rows, and at row m the h row of
-# order 2m + 1 times (-1)^(m+1), an exact sign flip
+# The fold's operands as floats: the p and q rows
 _TABLES = get_tables()
 _P_ROWS = [list(map(float, row)) for row in _TABLES.p_rows]
 _Q_ROWS = [list(map(float, row)) for row in _TABLES.q_rows]
-_SH_ROWS = [
-    [float(c) if m % 2 else -float(c) for c in _TABLES.h_rows[2 * m + 1]]
-    for m in range(_TABLES.m_max + 1)
-]
 
 
 class SeriesParams(NamedTuple):
@@ -71,13 +71,16 @@ class VoigtValue(NamedTuple):
 
 
 class YCoefficientSet(NamedTuple):
-    """Per-y folded series coefficients for a fixed truncation order N."""
+    """Per-y folded series coefficients for a fixed truncation order N.
+
+    alpha[n] = sum_m p[m][n] y^(2m)/(2m)!, m = n..N; gamma[n] alike from
+    q[m][n], m = n+1..N.  h[n - 1] = y alpha[n] - sum_m p[m][n]
+    y^(2m-1)/(2m-1)!/2 (n = 1..N), gamma_p alike from gamma and q.
+    """
 
     alpha: tuple
-    beta: tuple
+    h: tuple
     gamma: tuple
-    alpha_p: tuple
-    beta_p: tuple
     gamma_p: tuple
 
 
@@ -96,26 +99,21 @@ def build_y_coefficients(y, params):
         raise ValueError(f"N must lie in 0..{DEFAULT_M_MAX}, got {n_max!r}")
     y = float(y)
 
-    # even[m] = y^(2m)/(2m)!,  odd[m] = y^(2m+1)/(2m+1)!; the primed sums
-    # read y^(2m-1)/(2m-1)! as odd[m - 1]
+    # even[m] = y^(2m)/(2m)!,  odd[m] = y^(2m+1)/(2m+1)!; the y-derivative
+    # sums behind h and gamma_p read y^(2m-1)/(2m-1)! as odd[m - 1]
     even = [1.0]
     odd = [y]
     for m in range(1, n_max + 1):
         even.append(odd[m - 1] * y / (2 * m))
         odd.append(even[m] * y / (2 * m + 1))
 
-    p, q, sh = _P_ROWS, _Q_ROWS, _SH_ROWS
-    alpha, beta, gamma = [], [], []
-    alpha_p, beta_p, gamma_p = [], [], []
+    p, q = _P_ROWS, _Q_ROWS
+    alpha, h, gamma, gamma_p = [], [], [], []
     for n in range(n_max + 1):
-        a = b = ap = bp = 0.0
-        g = gp = 0.0
+        a = ap = g = gp = 0.0
         for m in range(n_max, n - 1, -1):
             pmn = p[m][n]
-            shmn = sh[m][n]
             a += pmn * even[m]
-            b += shmn * odd[m]
-            bp += shmn * even[m]
             if m >= 1:
                 ap += pmn * odd[m - 1]
             if m >= n + 1:
@@ -123,16 +121,12 @@ def build_y_coefficients(y, params):
                 g += qmn * even[m]
                 gp += qmn * odd[m - 1]
         alpha.append(a)
-        beta.append(b)
-        alpha_p.append(y * a - 0.5 * ap)
-        beta_p.append(y * b - 0.5 * bp)
+        if n >= 1:
+            h.append(y * a - 0.5 * ap)
         if n <= n_max - 1:
             gamma.append(g)
             gamma_p.append(y * g - 0.5 * gp)
-    return YCoefficientSet(
-        tuple(alpha), tuple(beta), tuple(gamma),
-        tuple(alpha_p), tuple(beta_p), tuple(gamma_p),
-    )
+    return YCoefficientSet(tuple(alpha), tuple(h), tuple(gamma), tuple(gamma_p))
 
 
 def _horner_array(coeffs, x2, out):
@@ -150,14 +144,14 @@ def _horner_array(coeffs, x2, out):
 def series_array(c, x):
     """K and L of the series from the fold c over a 1-d array of
     0 <= x < Q_TAIL, unchecked, with Q from `dawson.q_into`.  Each Horner
-    sum runs from the highest degree down; the q A terms come first, then
-    q's row holds the other four sums.  Every operation runs in place in
-    one (3, n) block, rows q, x^2 and e^{-x^2}, which also lends Q its
-    scratch rows with K, and x itself is never written.  K and L are
-    fresh arrays; the block is freed on return, and is one chunk so that
-    what the call frees stays below glibc's trim threshold (see the
-    module docstring).  `scheme.eval_w` runs these operations in this
-    order on floats, so one point gets the same bits either way.
+    sum runs from the highest degree down, H into K's array and A into
+    L's; e^{-x^2} is taken a second time into the row (e^{-x^2} H)/2 has
+    used, and the G sums come last.  Every operation runs in place in one
+    (3, n) block, rows q, x^2 and e^{-x^2}, which also lends Q its scratch
+    rows with K; x is never written.  The block is one chunk so that what
+    the call frees stays below glibc's trim threshold (module docstring).
+    `scheme.eval_w` runs these operations in this order on floats, so one
+    point gets the same bits either way.
     """
     q, x2, ex = np.empty((3, x.size))
     k = np.empty_like(x2)
@@ -166,17 +160,25 @@ def series_array(c, x):
     np.multiply(x, x, out=x2)
     np.exp(np.negative(x2, out=ex), out=ex)
     q *= ONE_OVER_SQRT_PI
-    for a, out in ((c.alpha_p, k), (c.alpha, l)):
-        np.multiply(q, _horner_array(a, x2, out), out=out)
-    acc = q
-    for b, g, out in ((c.beta_p, c.gamma_p, k), (c.beta, c.gamma, l)):
-        out += np.multiply(ex, _horner_array(b, x2, acc), out=acc)
-        g_sum = _horner_array(g, x2, acc)
-        if g_sum is acc:
-            out += np.multiply(ONE_OVER_SQRT_PI, acc, out=acc)
+    h = _horner_array(c.h, x2, k)
+    a = _horner_array(c.alpha, x2, l)
+    ex *= h
+    ex *= 0.5
+    np.multiply(x2, h, out=k)
+    k *= q
+    q *= a
+    q -= ex  # q holds L/x from here on
+    np.exp(np.negative(x2, out=ex), out=ex)
+    ex *= a
+    ex *= 0.5
+    k += ex
+    for g, out in ((c.gamma_p, k), (c.gamma, q)):
+        g_sum = _horner_array(g, x2, ex)
+        if g_sum is ex:
+            out += np.multiply(ONE_OVER_SQRT_PI, ex, out=ex)
         else:  # a float, at N <= 1: one scalar, rounded as the float path rounds it
             out += ONE_OVER_SQRT_PI * g_sum
-    l *= x
+    np.multiply(q, x, out=l)
     return k, l
 
 

@@ -126,4 +126,4 @@ def test_get_tables_cached_and_covers_m16():
     t = get_tables()
     assert t.m_max == 16
     assert t is get_tables()
-    assert set(t.h_rows) == set(range(1, 34, 2))
+    assert len(t.p_rows) == len(t.q_rows) == 17

@@ -683,6 +683,17 @@ def test_oracle_bounds_l_below_1e_100():
         checked += 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_k_within_5e_13_at_a_deep_tail_point():
+    # one of 1000 seeded points (y log-uniform in [1e-300, 1e-180], x uniform
+    # in [24, Q_TAIL), default_rng(180)) where K misses its bound by a hair:
+    # q x^2 H and G'/sqrt(pi) nearly cancel at large x, and K is their
+    # difference.  A cancellation-free K should lift this mark
+    x, y = 25.69117869743614, 4.1187440918386164e-189
+    assert point_branch(x, y)[0] == "internal"
+    assert rel_err(eval_w(x, y).k, ref_w(x, y).real) <= 5e-13
+
+
 def test_fraction_side_of_the_q_tail_cut():
     # below y = 8.29e-191 the cubic's x_c passes Q_TAIL, and the points on
     # [Q_TAIL, x_c) take the Laplace fraction: e^{-x^2} is 0 there, so the

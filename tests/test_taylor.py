@@ -1,11 +1,13 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import rel_err, ulps
-from voigtw.coeffs import get_tables
+from voigtw.coeffs import get_tables, hermite_coeffs
 from voigtw.dawson import BINS_PER_UNIT, Q_TAIL, _Q_COEFFS
 from voigtw.oracle import ref_dawson, ref_erfcx, ref_w
 from voigtw.scheme import _y_record, boundary_x_c, eval_w, eval_w_batch, select_params
@@ -17,16 +19,15 @@ P16 = SeriesParams(n=4, n_d=61, n_c=6)
 class TestCoefficientFold:
     def test_y_zero_collapse(self):
         c = build_y_coefficients(0.0, P16)
+        # A = 2 and H = G = G' = 0 leave K = e^{-x^2} (e A/2) and L = 2 x q
         assert c.alpha == (2.0, 0.0, 0.0, 0.0, 0.0)
-        assert c.beta_p == (1.0, 0.0, 0.0, 0.0, 0.0)
-        for name in ("beta", "gamma", "alpha_p", "gamma_p"):
-            assert all(v == 0.0 for v in getattr(c, name))
+        for name in ("h", "gamma", "gamma_p"):
+            assert getattr(c, name) == (0.0, 0.0, 0.0, 0.0)
 
     def test_lengths(self):
         c = build_y_coefficients(0.03, SeriesParams(7, 61, 6))
-        assert len(c.alpha) == len(c.beta) == 8
-        assert len(c.alpha_p) == len(c.beta_p) == 8
-        assert len(c.gamma) == len(c.gamma_p) == 7
+        assert len(c.alpha) == 8
+        assert len(c.h) == len(c.gamma) == len(c.gamma_p) == 7
 
     def test_gamma_empty_at_n0(self):
         c = build_y_coefficients(0.01, SeriesParams(0, 61, 6))
@@ -62,7 +63,7 @@ class TestCoefficientFold:
     def test_all_finite(self):
         for y in (0.0, 1e-100, 1e-30, 1e-8, 0.05, 0.1):
             c = build_y_coefficients(y, SeriesParams(16, 344, 65))
-            for name in ("alpha", "beta", "gamma", "alpha_p", "beta_p", "gamma_p"):
+            for name in c._fields:
                 assert np.all(np.isfinite(getattr(c, name)))
 
     @pytest.mark.parametrize("bad", [-1e-12, 0.10001, 1.0])
@@ -72,7 +73,7 @@ class TestCoefficientFold:
 
     def test_matches_the_integer_table_fold(self):
         # the fold reads float rows prebuilt from the exact tables; the
-        # reference converts each integer and its sign term by term
+        # reference converts each integer term by term
         ys = [0.0, 5e-324, 1e-300, 1e-100, 0.1]
         ys += np.exp(np.random.default_rng(12).uniform(np.log(1e-20), np.log(0.1), 200)).tolist()
         for y in ys:
@@ -82,22 +83,18 @@ class TestCoefficientFold:
 
 
 def _reference_fold(y, n_max):
-    """The fold as six lists of float.hex, each integer table entry converted where it is used."""
+    """The fold as four lists of float.hex, each integer table entry converted where it is used."""
     tables = get_tables()
     even, odd = [1.0], [y]
     for m in range(1, n_max + 1):
         even.append(odd[m - 1] * y / (2 * m))
         odd.append(even[m] * y / (2 * m + 1))
-    alpha, beta, gamma, alpha_p, beta_p, gamma_p = [], [], [], [], [], []
+    alpha, h, gamma, gamma_p = [], [], [], []
     for n in range(n_max + 1):
-        a = b = ap = bp = g = gp = 0.0
+        a = ap = g = gp = 0.0
         for m in range(n_max, n - 1, -1):
             pmn = float(tables.p_rows[m][n])
-            hmn = float(tables.h_rows[2 * m + 1][n])
-            sgn = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
             a += pmn * even[m]
-            b += sgn * hmn * odd[m]
-            bp += sgn * hmn * even[m]
             if m >= 1:
                 ap += pmn * odd[m - 1]
             if m >= n + 1:
@@ -105,13 +102,59 @@ def _reference_fold(y, n_max):
                 g += qmn * even[m]
                 gp += qmn * odd[m - 1]
         alpha.append(a)
-        beta.append(b)
-        alpha_p.append(y * a - 0.5 * ap)
-        beta_p.append(y * b - 0.5 * bp)
+        if n >= 1:
+            h.append(y * a - 0.5 * ap)
         if n <= n_max - 1:
             gamma.append(g)
             gamma_p.append(y * g - 0.5 * gp)
-    return [list(map(float.hex, v)) for v in (alpha, beta, gamma, alpha_p, beta_p, gamma_p)]
+    return [list(map(float.hex, v)) for v in (alpha, h, gamma, gamma_p)]
+
+
+def _lowest_power(terms):
+    """Least power of y with a nonzero coefficient in (power, Fraction) terms; inf if none."""
+    poly = Counter()
+    for power, c in terms:
+        poly[power] += c
+    return min((power for power, c in poly.items() if c), default=math.inf)
+
+
+@pytest.mark.parametrize("n_max", range(1, 17))
+def test_hermite_terms_are_the_p_fold(n_max):
+    # The paper's series also folds the odd Hermite rows, sh[m] = (-1)^(m+1) h_{2m+1},
+    # into the e^{-x^2} terms of L and K: beta[n] = sum_m sh[m][n] y^(2m+1)/(2m+1)!
+    # and beta_p[n] = y beta[n] - sum_m sh[m][n] y^(2m)/(2 (2m)!).  In exact
+    # rationals, beta_p = alpha/2 and beta[n - 1] = -alpha_p[n]/2 = -h[n - 1]/2 up to
+    # powers of y past the truncation, and alpha_p[0] vanishes there too, so the
+    # fold keeps alpha and h = alpha_p[1:] alone and loses nothing
+    p = get_tables().p_rows
+    sh = [[(-1) ** (m + 1) * c for c in hermite_coeffs(2 * m + 1)] for m in range(n_max + 1)]
+    f = math.factorial
+
+    def alpha(n):
+        return [(2 * m, Fraction(p[m][n], f(2 * m))) for m in range(n, n_max + 1)]
+
+    def alpha_p(n):
+        if n > n_max:
+            return []
+        y_alpha = [(power + 1, c) for power, c in alpha(n)]
+        return y_alpha + [(2 * m - 1, -Fraction(p[m][n], 2 * f(2 * m - 1)))
+                          for m in range(max(n, 1), n_max + 1)]
+
+    def beta(n):
+        return [(2 * m + 1, Fraction(sh[m][n], f(2 * m + 1))) for m in range(n, n_max + 1)]
+
+    def beta_p(n):
+        y_beta = [(power + 1, c) for power, c in beta(n)]
+        return y_beta + [(2 * m, -Fraction(sh[m][n], 2 * f(2 * m))) for m in range(n, n_max + 1)]
+
+    def times(s, terms):
+        return [(power, s * c) for power, c in terms]
+
+    assert _lowest_power(alpha_p(0)) >= 2 * n_max + 1
+    for n in range(n_max + 1):
+        assert _lowest_power(alpha(n) + times(-2, beta_p(n))) >= 2 * n_max + 2, n
+        # at n = n_max, beta[n] stands alone: alpha_p has no entry n_max + 1
+        assert _lowest_power(alpha_p(n + 1) + times(2, beta(n))) >= 2 * n_max + 1, n
 
 
 def test_fold_cache_is_bounded():
