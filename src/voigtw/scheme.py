@@ -18,12 +18,12 @@ tabulated N_D serves the y = 0 axis alone.
 `eval_w` evaluates one point in scalar arithmetic, bit for bit what
 `eval_w_batch` gives for it.  It reads the per-y record once and picks
 the branch inline.  Inside z_c the whole series is one pass of Python
-floats: the Dawson polynomial, x^2, the four Horner sums and the K and L
-sums in `series_array`'s order, as IEEE + - * / round alike on floats
-and arrays and neither side fuses a multiply with an add.  exp(-x^2)
-stays `np.exp`'s (`math.exp` differs on about 4% of arguments in
-[-745, 0], an AVX-512 build), taken as a float at once so no numpy
-scalar arithmetic follows.  The axis and the external branch call the
+floats: the Dawson polynomial times 2/sqrt(pi), q = L(x, 0)/x, then
+x^2, the four Horner sums and the K and L sums in `series_array`'s order,
+as IEEE + - * / round alike on floats and arrays and neither side fuses
+a multiply with an add.  exp(-x^2) stays `np.exp`'s (`math.exp` differs
+on about 4% of arguments in [-745, 0], an AVX-512 build), taken as a
+float at once so no numpy scalar arithmetic follows.  The axis and the external branch call the
 fractions' one-point forms, `dawson.dawson_point` on floats and
 `laplace.laplace_point` on complex128 scalars, each next to its array form.
 
@@ -47,10 +47,9 @@ import numpy as np
 from .dawson import Q_TAIL, dawson_cf, dawson_point, q_bin, q_point
 from .laplace import external_branch, external_depth, laplace_point, point_depth
 from .taylor import (
-    ONE_OVER_SQRT_PI, SeriesParams, VoigtValue, Y_MAX, build_y_coefficients, series_array,
+    ONE_OVER_SQRT_PI, TWO_OVER_SQRT_PI, SeriesParams, VoigtValue, Y_MAX, build_y_coefficients,
+    series_array,
 )
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 # z_c(y) = c0 + c1 u + c2 u^2 + c3 u^3 with u = ln y, per accuracy level
 _BOUNDARY_CUBICS = {
@@ -158,7 +157,7 @@ def eval_w_batch(xs, y):
         # Analytic collapse of the series: exact at y = 0 for every x.
         # e^{-x^2} is 0 from x ~ 27.3 on; the clamp keeps x^2 finite.
         k = np.exp(-np.square(np.minimum(ax, 30.0)))
-        l = _TWO_OVER_SQRT_PI * dawson_cf(ax, params.n_d)
+        l = TWO_OVER_SQRT_PI * dawson_cf(ax, params.n_d)
     elif ax_max < x_c:
         # a call on one branch takes no mask, gather or scatter
         k, l = series_array(fold, ax)
@@ -236,11 +235,11 @@ def eval_w(x, y):
     elif y == 0.0:
         m = min(ax, 30.0)
         k = float(np.exp(-(m * m)))
-        l = _TWO_OVER_SQRT_PI * dawson_point(ax, params.n_d)
+        l = TWO_OVER_SQRT_PI * dawson_point(ax, params.n_d)
     else:
         x2 = ax * ax
         ex = float(np.exp(-x2))
-        q = ONE_OVER_SQRT_PI * q_point(ax)
+        q = TWO_OVER_SQRT_PI * q_point(ax)
         sums = []
         for coeffs in fold:  # alpha, h, gamma, gamma_p
             it = reversed(coeffs)
@@ -249,9 +248,9 @@ def eval_w(x, y):
                 acc = acc * x2 + c
             sums.append(acc)
         a, h, g, g_p = sums
-        k = x2 * h * q + ex * a * 0.5 + ONE_OVER_SQRT_PI * g_p
+        k = ex * a + x2 * h * q + ONE_OVER_SQRT_PI * g_p
         # x factored out: three products fewer, and a subnormal L rounds once
-        l = ax * (a * q - ex * h * 0.5 + ONE_OVER_SQRT_PI * g)
+        l = ax * (q * a - ex * h + ONE_OVER_SQRT_PI * g)
     if math.copysign(1.0, x) < 0.0:  # L is odd in x
         l = -l
     return VoigtValue(k, l)

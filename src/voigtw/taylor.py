@@ -1,18 +1,18 @@
 """Internal-domain evaluator: the small-y Taylor series for K and L.
 
 For a fixed y the exact P and Q integer tables are folded with powers of
-y into four coefficient vectors: alpha (A), h (H), gamma (G) and gamma_p
-(G').  Each evaluation is then four even-polynomial Horner sums in x^2
-plus Q(x) = D(x)/x, Dawson's integral over x, and exp(-x^2):
+y into four coefficient vectors, alpha (A), h (H), gamma (G) and gamma_p
+(G'); an evaluation is four Horner sums in x^2, e^{-x^2} and q(x) =
+L(x, 0)/x = (2/sqrt(pi)) D(x)/x, D Dawson's integral:
 
-    K = q x^2 H(x^2) + e^{-x^2} A(x^2)/2 + (1/sqrt(pi)) G'(x^2)
-    L = x (q A(x^2) - e^{-x^2} H(x^2)/2 + (1/sqrt(pi)) G(x^2)),   q = Q(x)/sqrt(pi)
+    K = e^{-x^2} A(x^2) + x^2 H(x^2) q + (1/sqrt(pi)) G'(x^2)
+    L = x (q A(x^2) - e^{-x^2} H(x^2) + (1/sqrt(pi)) G(x^2))
 
-with products taken as (x^2 H) q, (e^{-x^2} A)/2 and (e^{-x^2} H)/2.  The
-paper writes q A'(x^2) + e^{-x^2} B'(x^2) in K and e^{-x^2} B(x^2) in L/x,
-B and B' folded from the odd Hermite rows.  As w' = -2z w + 2i/sqrt(pi),
-B' = A/2, B = -H/2 and A'(x^2) = x^2 H(x^2) up to powers of y past the
-truncation (checked in exact rationals for N = 1 to 16).
+A and H are half the paper's, which puts 1/2 on each point instead (an
+exact scaling: the same bits), so y = 0 folds to the identity, A = 1 and
+H = G = G' = 0.  The paper's e^{-x^2} terms fold the odd Hermite rows; as
+w' = -2z w + 2i/sqrt(pi), they are A in K and -H in L/x, and its q A'(x^2)
+is x^2 H(x^2) q, up to powers of y past the truncation (exact rationals).
 
 Q is even with Q(0) = 1, so the same sum gives K(0, y) = e^{y^2} erfc y
 with no division or special case.  Q comes from the bin polynomials of
@@ -46,6 +46,7 @@ from .coeffs import DEFAULT_M_MAX, get_tables
 from .dawson import Q_TAIL, q_into
 
 ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
+TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 Y_MAX = 0.1
 
@@ -73,9 +74,10 @@ class VoigtValue(NamedTuple):
 class YCoefficientSet(NamedTuple):
     """Per-y folded series coefficients for a fixed truncation order N.
 
-    alpha[n] = sum_m p[m][n] y^(2m)/(2m)!, m = n..N; gamma[n] alike from
-    q[m][n], m = n+1..N.  h[n - 1] = y alpha[n] - sum_m p[m][n]
-    y^(2m-1)/(2m-1)!/2 (n = 1..N), gamma_p alike from gamma and q.
+    alpha[n] = sum_m p[m][n] y^(2m)/(2m)!/2, m = n..N; gamma[n] = sum_m
+    q[m][n] y^(2m)/(2m)!, m = n+1..N.  h[n - 1] = y alpha[n] - sum_m p[m][n]
+    y^(2m-1)/(2m-1)!/4 (n = 1..N); gamma_p[n] = y gamma[n] - sum_m q[m][n]
+    y^(2m-1)/(2m-1)!/2.  At y = 0, alpha = (1, 0, ...) and the rest are 0.
     """
 
     alpha: tuple
@@ -89,8 +91,9 @@ def build_y_coefficients(y, params):
 
     Accumulation runs in descending m (smallest terms first) and the
     scaled powers y^(2m)/(2m)! are formed by iterative multiplication, so
-    no large factorial is ever evaluated in floating point.  N runs from
-    0 to DEFAULT_M_MAX, the order of the last calibrated band.
+    no large factorial is ever evaluated in floating point.  The m = n
+    term, A's and H's alone, comes after the shared loop, and both are
+    halved last.  N runs from 0 to DEFAULT_M_MAX, the last band's order.
     """
     if not 0.0 <= y <= Y_MAX:
         raise ValueError(f"y must lie in [0, {Y_MAX}], got {y}")
@@ -111,18 +114,17 @@ def build_y_coefficients(y, params):
     alpha, h, gamma, gamma_p = [], [], [], []
     for n in range(n_max + 1):
         a = ap = g = gp = 0.0
-        for m in range(n_max, n - 1, -1):
-            pmn = p[m][n]
+        for m in range(n_max, n, -1):
+            pmn, qmn = p[m][n], q[m][n]
             a += pmn * even[m]
-            if m >= 1:
-                ap += pmn * odd[m - 1]
-            if m >= n + 1:
-                qmn = q[m][n]
-                g += qmn * even[m]
-                gp += qmn * odd[m - 1]
-        alpha.append(a)
+            ap += pmn * odd[m - 1]
+            g += qmn * even[m]
+            gp += qmn * odd[m - 1]
+        a += p[n][n] * even[n]
+        alpha.append(0.5 * a)
         if n >= 1:
-            h.append(y * a - 0.5 * ap)
+            ap += p[n][n] * odd[n - 1]
+            h.append(0.5 * (y * a - 0.5 * ap))
         if n <= n_max - 1:
             gamma.append(g)
             gamma_p.append(y * g - 0.5 * gp)
@@ -145,13 +147,13 @@ def series_array(c, x):
     """K and L of the series from the fold c over a 1-d array of
     0 <= x < Q_TAIL, unchecked, with Q from `dawson.q_into`.  Each Horner
     sum runs from the highest degree down, H into K's array and A into
-    L's; e^{-x^2} is taken a second time into the row (e^{-x^2} H)/2 has
-    used, and the G sums come last.  Every operation runs in place in one
-    (3, n) block, rows q, x^2 and e^{-x^2}, which also lends Q its scratch
-    rows with K; x is never written.  The block is one chunk so that what
-    the call frees stays below glibc's trim threshold (module docstring).
-    `scheme.eval_w` runs these operations in this order on floats, so one
-    point gets the same bits either way.
+    L's; x^2 H q takes the x^2 row until x^2 is formed again for the G
+    sums, which come last.  Every operation runs in place in one (3, n)
+    block, rows q, x^2 and e^{-x^2} (taken once), which also lends Q its
+    scratch rows with K; x is never written.  The block is one chunk so
+    that what the call frees stays below glibc's trim threshold (module
+    docstring).  `scheme.eval_w` runs these operations in this order on
+    floats, so one point gets the same bits either way.
     """
     q, x2, ex = np.empty((3, x.size))
     k = np.empty_like(x2)
@@ -159,25 +161,20 @@ def series_array(c, x):
     q_into(x, q, x2, ex, k)  # its scratch rows are idle until Q is done
     np.multiply(x, x, out=x2)
     np.exp(np.negative(x2, out=ex), out=ex)
-    q *= ONE_OVER_SQRT_PI
+    q *= TWO_OVER_SQRT_PI
     h = _horner_array(c.h, x2, k)
     a = _horner_array(c.alpha, x2, l)
-    ex *= h
-    ex *= 0.5
-    np.multiply(x2, h, out=k)
-    k *= q
+    x2 *= h
+    x2 *= q  # K's first term: x^2 is free until the G sums
     q *= a
-    q -= ex  # q holds L/x from here on
-    np.exp(np.negative(x2, out=ex), out=ex)
-    ex *= a
-    ex *= 0.5
-    k += ex
+    q -= np.multiply(ex, h, out=k)  # q holds L/x from here on
+    np.multiply(ex, a, out=k)
+    k += x2
+    np.multiply(x, x, out=x2)
     for g, out in ((c.gamma_p, k), (c.gamma, q)):
-        g_sum = _horner_array(g, x2, ex)
-        if g_sum is ex:
-            out += np.multiply(ONE_OVER_SQRT_PI, ex, out=ex)
-        else:  # a float, at N <= 1: one scalar, rounded as the float path rounds it
-            out += ONE_OVER_SQRT_PI * g_sum
+        s = _horner_array(g, x2, ex)  # ex, or a float at N <= 1
+        s *= ONE_OVER_SQRT_PI
+        out += s
     np.multiply(q, x, out=l)
     return k, l
 

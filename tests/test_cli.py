@@ -193,6 +193,24 @@ class TestErrmap:
         ]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--x-count", "0"], "grid count must be >= 1"),
+            (["--x-min", "2", "--x-max", "1"], "grid min must not exceed max"),
+        ],
+    )
+    def test_rejects_bad_grid_before_writing(self, tmp_path, grid, message, capsys):
+        out = tmp_path / "x.csv"
+        argv = [
+            "errmap", "--x-min", "0.5", "--x-max", "5.0", "--x-count", "3",
+            "--y-min", "1e-4", "--y-max", "0.1", "--y-count", "3", *grid,
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", ["linear", "log"])
     @pytest.mark.parametrize(
         "bound, value",

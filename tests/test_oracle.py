@@ -122,6 +122,11 @@ class TestQuadW:
         with pytest.raises(ValueError):
             quad_w(-1, 0.05)
 
+    @pytest.mark.parametrize("y", [0.2, -1e-3])
+    def test_rejects_y_outside(self, y):
+        with pytest.raises(ValueError, match=r"y must lie in \[0, 0.1\]"):
+            quad_w(1.0, y)
+
 
 def test_three_way_corroboration_with_laplace():
     # erfc route vs quadrature vs the production continued fraction

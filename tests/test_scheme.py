@@ -163,12 +163,16 @@ def test_point_branch_reports_the_depth_used():
 @pytest.mark.parametrize("y", [0.0, 1e-3])
 @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
 def test_point_branch_rejects_what_eval_w_rejects(x, y):
-    for f in (point_branch, eval_w):
+    for f in (point_branch, eval_w, eval_w_batch):
         with pytest.raises(ValueError, match="x must be finite"):
             f(x, y)
+    # eval_w_batch rejects it inside a finite array too, of any shape
+    for xs in (np.array(x), np.array([0.5, x, 30.0]), np.array([[0.5, 2.0], [x, -1.0]])):
+        with pytest.raises(ValueError, match="x must be finite"):
+            eval_w_batch(xs, y)
     # y is checked before x
     for bad_y in (-1e-3, 0.2, np.nan):
-        for f in (point_branch, eval_w):
+        for f in (point_branch, eval_w, eval_w_batch):
             with pytest.raises(ValueError, match=r"y must lie in \[0, 0.1\]"):
                 f(x, bad_y)
 

@@ -19,8 +19,8 @@ P16 = SeriesParams(n=4, n_d=61, n_c=6)
 class TestCoefficientFold:
     def test_y_zero_collapse(self):
         c = build_y_coefficients(0.0, P16)
-        # A = 2 and H = G = G' = 0 leave K = e^{-x^2} (e A/2) and L = 2 x q
-        assert c.alpha == (2.0, 0.0, 0.0, 0.0, 0.0)
+        # A/2 = 1 and H = G = G' = 0 leave K = e^{-x^2} and L = x q: the identity
+        assert c.alpha == (1.0, 0.0, 0.0, 0.0, 0.0)
         for name in ("h", "gamma", "gamma_p"):
             assert getattr(c, name) == (0.0, 0.0, 0.0, 0.0)
 
@@ -44,12 +44,12 @@ class TestCoefficientFold:
         assert get_tables.cache_info().currsize == tables
 
     def test_alpha0_telescopes_to_exponential(self):
-        # p[m][0] y^(2m)/(2m)! = 2 y^(2m)/m!, so alpha_0 truncates 2 e^(y^2)
+        # p[m][0] y^(2m)/(2m)! = 2 y^(2m)/m!, so 2 alpha_0 (exact) truncates 2 e^(y^2)
         n = 7
         y = 0.1
         c = build_y_coefficients(y, SeriesParams(n, 61, 6))
         expect = sum(2.0 * y ** (2 * m) / math.factorial(m) for m in range(n + 1))
-        assert rel_err(c.alpha[0], expect) <= 5e-16
+        assert rel_err(2 * c.alpha[0], expect) <= 5e-16
 
     def test_alpha0_remainder_bound(self):
         for y in (1e-6, 1e-3, 0.02, 0.1):
@@ -58,7 +58,7 @@ class TestCoefficientFold:
                 # Lagrange remainder of the exponential tail; the 1e-15
                 # slack absorbs double rounding of values ~ 2
                 bound = 2 * y ** (2 * n + 2) / math.factorial(n + 1) * math.exp(y * y)
-                assert abs(c.alpha[0] - 2 * math.exp(y * y)) <= bound + 1e-15
+                assert abs(2 * c.alpha[0] - 2 * math.exp(y * y)) <= bound + 1e-15
 
     def test_all_finite(self):
         for y in (0.0, 1e-100, 1e-30, 1e-8, 0.05, 0.1):
@@ -83,7 +83,10 @@ class TestCoefficientFold:
 
 
 def _reference_fold(y, n_max):
-    """The fold as four lists of float.hex, each integer table entry converted where it is used."""
+    """The fold as four lists of float.hex, each integer table entry converted where it is used.
+
+    Every sum runs over m = N..n with a branch per term; A and H are halved last.
+    """
     tables = get_tables()
     even, odd = [1.0], [y]
     for m in range(1, n_max + 1):
@@ -101,9 +104,9 @@ def _reference_fold(y, n_max):
                 qmn = float(tables.q_rows[m][n])
                 g += qmn * even[m]
                 gp += qmn * odd[m - 1]
-        alpha.append(a)
+        alpha.append(0.5 * a)
         if n >= 1:
-            h.append(y * a - 0.5 * ap)
+            h.append(0.5 * (y * a - 0.5 * ap))
         if n <= n_max - 1:
             gamma.append(g)
             gamma_p.append(y * g - 0.5 * gp)
