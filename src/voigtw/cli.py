@@ -159,13 +159,13 @@ def cmd_bench(args):
 
 
 _BOUNDARY_EPS_RANGE = (1e-13, 1e-6)
-_BOUNDARY_DEPTH_GRID = tuple(range(2, 42, 2))
+_BOUNDARY_DEPTH_GRID = tuple(range(3, 42, 2))
 _BOUNDARY_R_LO, _BOUNDARY_R_HI = 1.0, 30.0
 _BOUNDARY_TOL = 0.005
 
 
 def best_laplace_error(r, y):
-    """Smallest achievable Delta_C at radius r, minimized over the depths 2, 4, ..., 40.
+    """Smallest achievable Delta_C at radius r, minimized over the depths 3, 5, ..., 41.
 
     Measured against the oracle, never against the internal branch.
     """

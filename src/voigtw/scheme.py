@@ -28,11 +28,8 @@ fractions' one-point forms, `dawson.dawson_point` on floats and
 `laplace.laplace_point` on complex128 scalars, each next to its array form.
 
 Outside z_c the whole external branch is one call of
-`laplace.external_branch`, which looks up each point's fraction depth
-from |x| (`external_depth`) and writes K and L straight into the output
-arrays; `laplace` says how the depths are calibrated and why the branch
-runs on one float64 block per call.  A call with no sign bit set in x
-takes no |x| copy.
+`laplace.external_branch`, which writes K and L straight into the output
+arrays.  A call with no sign bit set in x takes no |x| copy.
 
 The evaluator runs at the one accuracy level float64 can meet, 1e-16.
 The paper's 1e-100 boundary cubic and bands are kept as data:
@@ -203,7 +200,7 @@ def point_branch(x, y):
     prints it: ("axis", "dawson_depth", N_D) at y = 0; inside the
     computing boundary ("internal", "dawson_bin", i), D(x)/x coming from
     bin i of the Dawson polynomials; ("external", "laplace_depth", depth)
-    outside it, depth the batch branch's own lookup `external_depth(|x|)`.
+    outside it, the depth the fraction runs, `external_depth(|x|)` made odd.
     Rejects what eval_w rejects, with the same errors.
     """
     y = y if type(y) is float else _real(y, "y")
@@ -212,7 +209,7 @@ def point_branch(x, y):
     if not ax < x_c:
         if not ax < math.inf:  # as eval_w rejects it
             raise ValueError("x must be finite")
-        return "external", "laplace_depth", external_depth(ax)
+        return "external", "laplace_depth", external_depth(ax) | 1
     if y == 0.0:
         return "axis", "dawson_depth", params.n_d
     return "internal", "dawson_bin", q_bin(ax)

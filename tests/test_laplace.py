@@ -1,12 +1,16 @@
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import rel_err
-from voigtw.laplace import _HALF_K_VIEWS, _deepest_first, external_depth, laplace_point, laplace_w
+from voigtw.laplace import (
+    _EXT_DEPTH_EDGES, _LEVEL_VIEWS, _deepest_first, external_depth, laplace_point, laplace_w,
+)
 from voigtw.oracle import ref_w, rel_errors
-from voigtw.scheme import boundary_z_c
+from voigtw.scheme import boundary_x_c, boundary_z_c, eval_w, eval_w_batch
 
 
 def test_large_z_leading_term():
@@ -78,19 +82,121 @@ def test_per_point_depth_matches_scalar_depth_bitwise():
         for i in range(d, zs.size, 97):
             assert laplace_w(complex(zs[i]), d) == w[i]
     assert laplace_w(np.empty(0, dtype=complex), 6).shape == (0,)
-    # the numerators k/2 come from a table while it reaches, then as Python
-    # floats: on both sides of its end and well past it, against the loop
-    # that forms every k/2 as it goes
-    end = len(_HALF_K_VIEWS)
-    for d in (1, 2, end - 1, end, end + 1, 128, 200, 344):
+    # b_j and c_j come from a table while it reaches, then as Python floats:
+    # on both sides of its end and well past it, against the paired levels
+    # with every b_j and c_j formed as they go
+    end = 2 * len(_LEVEL_VIEWS)  # the least depth past the table
+    for d in (1, 2, 63, 64, 65, end - 1, end, end + 1, 128, 200, 344):
         want = []
         for z in zs[:300].tolist():
-            z = t = np.complex128(z)
-            for k in range(d, 0, -1):
-                t = z - (0.5 * k) / t
-            want.append(1j / np.sqrt(np.pi) / t)
+            x, y = z.real, z.imag
+            r = np.complex128(0.5)
+            if d > 1:
+                zz = np.complex128(complex(x * x - y * y, x * (2 * y)))
+                t = zz - (4 * (d // 2) + 1) / 2
+                for j in range(d // 2 - 1, 0, -1):
+                    t = zz - ((4 * j + 1) / 2 + (j + 1) * (2 * j + 1) / 2 / t)
+                r = 0.5 + 0.5 / t
+            want.append(1j / np.sqrt(np.pi) / (z - r / z))
         assert laplace_w(zs[:300], d).tolist() == want, d
-        assert [laplace_point(z, d) for z in zs[:300]] == want, d
+        assert [laplace_point(z, d) for z in zs[:300].tolist()] == want, d
+
+
+def _cdiv(p, q):
+    """p / q for complex numbers held as pairs of Fractions, exactly."""
+    (a, b), (c, d) = p, q
+    den = c * c + d * d
+    return (a * c + b * d) / den, (b * c - a * d) / den
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_paired_levels_are_the_odd_depth_fraction(seed):
+    # in exact rationals, m paired levels behind the plain outer level equal
+    # the plain fraction's depth-(2m - 1) convergent, for m = 1..33
+    rng = np.random.default_rng(seed)
+    z = (Fraction(int(rng.integers(-400, 400)), int(rng.integers(1, 40))),
+         Fraction(int(rng.integers(-40, 40)), int(rng.integers(1, 400))))
+    x, y = z
+    zz = (x * x - y * y, 2 * x * y)
+    for m in range(1, 34):
+        plain = z
+        for k in range(2 * m - 1, 0, -1):
+            q = _cdiv((Fraction(k, 2), 0), plain)
+            plain = (z[0] - q[0], z[1] - q[1])
+        r = (Fraction(1, 2), 0)
+        if m > 1:
+            t = (zz[0] - Fraction(4 * (m - 1) + 1, 2), zz[1])
+            for j in range(m - 2, 0, -1):
+                q = _cdiv((Fraction((j + 1) * (2 * j + 1), 2), 0), t)
+                t = (zz[0] - Fraction(4 * j + 1, 2) - q[0], zz[1] - q[1])
+            q = _cdiv((Fraction(1, 2), 0), t)
+            r = (Fraction(1, 2) + q[0], q[1])
+        q = _cdiv(r, z)
+        assert (z[0] - q[0], z[1] - q[1]) == plain, m
+
+
+def test_even_depth_runs_the_next_odd_depth():
+    rng = np.random.default_rng(11)
+    zs = rng.uniform(-300, 300, 500) + 1j * np.exp(rng.uniform(np.log(1e-30), np.log(0.1), 500))
+    for k in range(1, 40):
+        assert np.array_equal(laplace_w(zs, 2 * k), laplace_w(zs, 2 * k + 1)), k
+    assert laplace_w(30 + 0.05j, 6) == laplace_w(30 + 0.05j, 7)
+
+
+def test_overflowing_z_squared():
+    # where x x - y y overflows T is infinite, and where x (2y) does the
+    # paired levels are skipped: either way R = 1/2, at every depth, with
+    # no warning and the same bits from the scalar form
+    zs = [1.79e308 + 0.1j, -1e300 + 5e-324j, 1e200 - 0.3j, 1e5 + 1e300j, 1e154 + 1e154j,
+          1e5 + 1e304j, 1e200 + 1e200j, -1e160 + 1e155j, 1e308j, -1e308j, 1.79e308 + 1e300j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (1, 2, 6, 21, 65, 200):
+            w = laplace_w(np.array(zs), d)
+            assert np.isfinite(w).all() and np.array_equal(w, laplace_w(np.array(zs), 1)), d
+            assert w.tolist() == [laplace_point(z, d) for z in zs], d
+            assert laplace_w(np.array([30 + 0.1j, *zs]), d)[1:].tolist() == w.tolist(), d
+
+
+def _points_at_every_step(y, rng, per_step):
+    """Seeded x outside x_c(y) in every step of the depth profile it reaches, and the step's edges."""
+    edges = [boundary_x_c(y), *_EXT_DEPTH_EDGES[_EXT_DEPTH_EDGES > boundary_x_c(y)], 1e6]
+    xs = [edges[:-1]]
+    for lo, hi in zip(edges, edges[1:]):
+        xs.append(np.exp(rng.uniform(np.log(lo), np.log(hi), per_step)))
+    return np.concatenate(xs)
+
+
+@pytest.mark.parametrize("y", [1e-8, 1e-3, 0.05, 0.1, 5e-324])
+def test_external_branch_matches_pointwise_at_every_level_count(y):
+    # every level count from x_c(y) on in one call (1..11 from y = 0.05
+    # up), mixed with series points, shuffled and signed, out to |x| =
+    # 1.79e308, through calls of 1, 200, 2047-2049 and 16384 points
+    rng = np.random.default_rng(int(-np.log10(y)))
+    xs = _points_at_every_step(y, rng, 900)
+    xs = np.r_[xs, np.exp(rng.uniform(np.log(1e6), np.log(1.79e308), 400)), 1.79e308,
+               rng.uniform(0.0, boundary_x_c(y), 1000)]
+    xs = rng.permutation(np.resize(xs, 16384)) * rng.choice([-1.0, 1.0], 16384)
+    outside = np.abs(xs)[np.abs(xs) >= boundary_x_c(y)]
+    counts = external_depth(outside) // 2 + 1
+    assert set(counts.tolist()) == set(range(1, external_depth(boundary_x_c(y)) // 2 + 2))
+    out = eval_w_batch(xs, y)
+    for i in range(xs.size):
+        assert tuple(eval_w(float(xs[i]), y)) == (out.k[i], out.l[i]), (xs[i], y)
+    for n in (1, 200, 2047, 2048, 2049):
+        part = eval_w_batch(xs[:n], y)
+        assert np.array_equal(part.k, out.k[:n]) and np.array_equal(part.l, out.l[:n]), n
+
+
+@pytest.mark.parametrize("y", [1e-8, 1e-3, 0.1])
+def test_accurate_at_every_depth_step(y):
+    # the calibrated depths, rounded up to odd, keep the fraction within
+    # the bound of test_accurate_beyond_boundary_with_calibrated_depth over
+    # every step of the profile
+    xs = _points_at_every_step(y, np.random.default_rng(3), 3)
+    for x in xs.tolist():
+        ref = complex(ref_w(x, y))
+        assert max(rel_errors(complex(*eval_w(x, y)), ref)) <= 1.5e-15, x
 
 
 @pytest.mark.parametrize("fraction", [laplace_w, laplace_point])

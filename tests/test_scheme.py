@@ -155,8 +155,10 @@ def test_point_branch_reports_the_depth_used():
     assert point_branch(np.nextafter(17.5, 0), 1e-300) == ("internal", "dawson_bin", 2239)
     assert point_branch(17.5, 1e-300) == ("internal", "dawson_bin", 2240)
     assert point_branch(np.nextafter(boundary_x_c(5e-324), 0), 5e-324) == ("internal", "dawson_bin", 3494)
-    # outside it, the depth at |x|
-    assert point_branch(30.0, 0.01) == ("external", "laplace_depth", 6)
+    # outside it, the depth the fraction runs at |x|: the profile's, rounded
+    # up to odd
+    assert point_branch(30.0, 0.01) == ("external", "laplace_depth", 7)
+    assert point_branch(60.0, 0.01) == ("external", "laplace_depth", 5)
     assert point_branch(-1e300, 1e-300) == ("external", "laplace_depth", 1)
 
 
@@ -279,7 +281,7 @@ def test_far_field_step_is_as_accurate_as_n_c(step):
     for _ in range(30):
         y = math.exp(rng.uniform(math.log(1e-300), math.log(0.1)))
         x = math.exp(rng.uniform(math.log(max(lo, boundary_x_c(y))), math.log(hi)))
-        assert point_branch(x, y) == ("external", "laplace_depth", _EXT_DEPTHS[step])
+        assert point_branch(x, y) == ("external", "laplace_depth", _EXT_DEPTHS[step] | 1)
         k, l = eval_w(x, y)
         w = laplace_w(complex(x, y), 6)
         ref = ref_w(x, y)
