@@ -9,7 +9,9 @@ Subcommands:
                   fraction depth
 * ``errmap``   -- CSV of per-point relative errors vs the oracle over a grid,
                   with per-y max/mean aggregates
-* ``bench``    -- seeded throughput report for internal / external points
+* ``bench``    -- seeded throughput report for internal / external points:
+                  a batch line, then a scalar line timing eval_w on the first
+                  2000 of the points, whose digest must equal the batch's
 * ``boundary`` -- bisection for the empirical computing boundary at a given
                   accuracy target
 
@@ -134,7 +136,24 @@ def bench_points(y, domain, count, seed):
     return np.clip(xs, lo, hi)
 
 
+_BENCH_SCALAR_MAX = 2000
+
+
+def _digest(xs, k, l):
+    """First 16 hex digits of sha256 over the bytes of xs, K and L."""
+    digest = hashlib.sha256()
+    for a in (xs, k, l):
+        digest.update(np.asarray(a, dtype=np.float64).tobytes())
+    return digest.hexdigest()[:16]
+
+
 def cmd_bench(args):
+    """Per (y, domain): `bench,y,domain,count,digest,seconds,points/s` for
+    one eval_w_batch call, then `bench-scalar,y,domain,m,digest,batch
+    digest,us/call` for eval_w over the first m = min(count, 2000) points.
+    The scalar line's two digests, over the same m inputs and outputs,
+    are equal whenever eval_w gives eval_w_batch's bits.
+    """
     if args.count < 1:
         raise ValueError("count must be >= 1")
     domains = ["internal", "external"] if args.domain == "both" else [args.domain]
@@ -146,14 +165,21 @@ def cmd_bench(args):
             t0 = time.perf_counter()
             k_arr, l_arr = eval_w_batch(xs, y)
             seconds = time.perf_counter() - t0
-            digest = hashlib.sha256()
-            digest.update(xs.tobytes())
-            digest.update(np.asarray(k_arr).tobytes())
-            digest.update(np.asarray(l_arr).tobytes())
             print(
                 f"bench,{_fmt(y)},{domain},{args.count},"
-                f"{digest.hexdigest()[:16]},{seconds:.6f},"
+                f"{_digest(xs, k_arr, l_arr)},{seconds:.6f},"
                 f"{args.count / seconds:.1f}"
+            )
+            m = min(args.count, _BENCH_SCALAR_MAX)
+            head = xs[:m].tolist()
+            t0 = time.perf_counter()
+            values = [eval_w(x, y) for x in head]
+            seconds = time.perf_counter() - t0
+            k_pt, l_pt = zip(*values)
+            print(
+                f"bench-scalar,{_fmt(y)},{domain},{m},"
+                f"{_digest(head, k_pt, l_pt)},{_digest(head, k_arr[:m], l_arr[:m])},"
+                f"{seconds / m * 1e6:.3f}"
             )
     return 0
 
@@ -232,7 +258,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_errmap)
 
-    p = sub.add_parser("bench", help="seeded throughput report")
+    p = sub.add_parser("bench", help="seeded throughput report, batch and scalar")
     p.add_argument("--count", type=int, default=1_000_000)
     p.add_argument("--y", type=float, action="append", required=True)
     p.add_argument("--domain", choices=["internal", "external", "both"],

@@ -17,6 +17,9 @@ differently (its divides do not): z^2 is (x x - y y) + i x (2y), formed
 only where m >= 2.  Where x x - y y alone overflows, T is infinite and
 R = 1/2, as the exact fraction has it to double precision; where x (2y)
 does, |z|^2 > 1.8e308 and the paired levels are skipped for that R = 1/2.
+There `laplace_w` takes w as (i/sqrt(pi))/z, its value to double precision
+from |z| ~ 1e154 on, divided at z 2^-600 (exact) and scaled back (rounding
+once where w is subnormal), so that numpy's Smith denominator stays finite.
 
 `external_branch` gives each point x + iy the oracle-calibrated depth of
 its |x| (`external_depth`: about 19 levels at |z| ~ 6.65, 6 from 22, 1
@@ -50,6 +53,7 @@ _PAIRS = tuple(zip(_C[:1:-1], _B[-2:0:-1]))  # (c_{j+1}, b_j) for j = 62, ..., 1
 _POINT_LEVELS = [_PAIRS[63 - m :] for m in _ROWS]
 _HALF, _I_SQRT_PI_VIEW = np.array(0.5 + 0j), np.array(_I_SQRT_PI)
 _HALF_SCALAR, _NEG_ZERO, _INF = _HALF[()], np.complex128(complex(-0.0, -0.0)), np.complex128(np.inf)
+_FAR_SCALE = 2.0**-600  # where x (2y) overflows z's nonzero parts pass 0.5: scaled, they stay normal
 # the plan's sorted keys ~top, ~(top - 1), ..., ~1 at row top, views of one array
 _NOT_COUNTS = ~np.arange(127, 0, -1, dtype=np.uint8)
 _LEVEL_KEYS = [_NOT_COUNTS[127 - top :] for top in range(128)]
@@ -187,7 +191,12 @@ def _fraction(x, y, zz, t, top, ends):
 
 
 def laplace_point(z, n):
-    """laplace_w(z, n) at one complex z != 0, on numpy complex128 scalars."""
+    """laplace_w(z, n) at one complex z != 0, on numpy complex128 scalars.
+
+    Its domain is the external branch's, |Im z| <= 0.1, where x (2y) never
+    overflows.  It lacks `laplace_w`'s scaled far divide: near |Re z| =
+    |Im z| = 1e308 numpy's Smith denominator overflows and w reads +-0.
+    """
     top, r = n // 2 + 1, _HALF_SCALAR
     x, y = z.real, z.imag
     if top > 1 and abs(zi := x * (2.0 * y)) < math.inf:  # else |z|^2 > 1.8e308 and R = 1/2
@@ -219,8 +228,10 @@ def laplace_w(z, n_c):
     w = np.empty_like(zs)
     with np.errstate(over="ignore", invalid="ignore"):
         _fraction(zs.real, zs.imag, np.empty_like(zs), w, n_c // 2 + 1, repeat(zs.size))
-        if n_c > 1:  # where x (2y) overflows, R = 1/2 skips the levels, as in laplace_point
-            far = ~(np.abs(zs.real * (2.0 * zs.imag)) < np.inf)
-            if far.any():
-                w[far] = laplace_w(zs[far], 1)
+        # where x (2y) overflows, R = 1/2 skips the levels, as in laplace_point, and
+        # w = (i/sqrt(pi))/z, divided at z 2^-600 so the Smith denominator stays finite
+        far = ~(np.abs(zs.real * (2.0 * zs.imag)) < np.inf)
+        if far.any():
+            scaled = (zs[far].view(np.float64) * _FAR_SCALE).view(np.complex128)
+            w[far] = ((_I_SQRT_PI / scaled).view(np.float64) * _FAR_SCALE).view(np.complex128)
     return w.reshape(z.shape) if z.ndim else complex(w[0])

@@ -17,15 +17,15 @@ tabulated N_D serves the y = 0 axis alone.
 
 `eval_w` evaluates one point in scalar arithmetic, bit for bit what
 `eval_w_batch` gives for it.  It reads the per-y record once and picks
-the branch inline.  Inside z_c the whole series is one pass of Python
-floats: the Dawson polynomial times 2/sqrt(pi), q = L(x, 0)/x, then
-x^2, the four Horner sums and the K and L sums in `series_array`'s order,
-as IEEE + - * / round alike on floats and arrays and neither side fuses
-a multiply with an add.  exp(-x^2) stays `np.exp`'s (`math.exp` differs
-on about 4% of arguments in [-745, 0], an AVX-512 build), taken as a
-float at once so no numpy scalar arithmetic follows.  The axis and the external branch call the
-fractions' one-point forms, `dawson.dawson_point` on floats and
-`laplace.laplace_point` on complex128 scalars, each next to its array form.
+the branch inline.  Inside z_c the series is one pass of Python floats:
+q = L(x, 0)/x from the Dawson polynomial, x^2, one loop stepping the four
+Horner sums together over the fold, then K and L, in `series_array`'s
+operations and order (IEEE + - * / round alike on floats and arrays, and
+neither side fuses a multiply with an add).  exp(-x^2) is `np.exp`'s
+(`math.exp` differs on about 4% of [-745, 0] on an AVX-512 build), made a
+float at once.  The axis and external branch call `dawson.dawson_point`
+and `laplace.laplace_point`.  Both evaluators build their result as
+tuple.__new__(VoigtValue, (k, l)), VoigtValue._make without its frame.
 
 Outside z_c the whole external branch is one call of
 `laplace.external_branch`, which writes K and L straight into the output
@@ -170,7 +170,7 @@ def eval_w_batch(xs, y):
         external_branch(ax, y, k, l, external)
     if signed:  # L is odd in x; negation is exact and keeps the sign of x = -0.0
         np.negative(l, out=l, where=np.signbit(x))
-    return VoigtValue(k.reshape(xs.shape), l.reshape(xs.shape))
+    return tuple.__new__(VoigtValue, (k.reshape(xs.shape), l.reshape(xs.shape)))
 
 
 def _real(v, name):
@@ -220,7 +220,7 @@ def eval_w(x, y):
 
     Bit for bit eval_w_batch's result, computed in scalar arithmetic (see
     the module docstring): inside z_c it runs `taylor.series_array`'s
-    operations in its order, each Horner sum from the highest degree down.
+    operations in its order, its four Horner sums in one pass, top down.
     """
     y = y if type(y) is float else _real(y, "y")
     params, fold, x_c = _y_record(y)
@@ -237,17 +237,17 @@ def eval_w(x, y):
         x2 = ax * ax
         ex = float(np.exp(-x2))
         q = TWO_OVER_SQRT_PI * q_point(ax)
-        sums = []
-        for coeffs in fold:  # alpha, h, gamma, gamma_p
-            it = reversed(coeffs)
-            acc = next(it, 0.0)
-            for c in it:
-                acc = acc * x2 + c
-            sums.append(acc)
-        a, h, g, g_p = sums
+        c_a, c_h, c_g, c_gp = fold  # alpha, h, gamma, gamma_p
+        i = len(c_h) - 1  # N - 1: alpha's extra top coefficient goes first
+        a, h, g, g_p = c_a[i + 1] * x2 + c_a[i], c_h[i], c_g[i], c_gp[i]
+        while (i := i - 1) >= 0:  # the four sums in one pass, each from its top degree down
+            a = a * x2 + c_a[i]
+            h = h * x2 + c_h[i]
+            g = g * x2 + c_g[i]
+            g_p = g_p * x2 + c_gp[i]
         k = ex * a + x2 * h * q + ONE_OVER_SQRT_PI * g_p
         # x factored out: three products fewer, and a subnormal L rounds once
         l = ax * (q * a - ex * h + ONE_OVER_SQRT_PI * g)
     if math.copysign(1.0, x) < 0.0:  # L is odd in x
         l = -l
-    return VoigtValue(k, l)
+    return tuple.__new__(VoigtValue, (k, l))  # VoigtValue._make without its Python frame

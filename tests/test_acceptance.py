@@ -245,8 +245,11 @@ def test_criterion_11_throughput(capsys):
     code = main(["bench", "--count", "1000000", "--y", "1e-8"])
     out = capsys.readouterr().out
     with capsys.disabled():
-        ok = ok and code == 0 and len(out.splitlines()) == 2
-        for line in out.splitlines():
+        # one batch line per domain, each followed by its bench-scalar line
+        lines = out.splitlines()
+        ok = ok and code == 0 and len(lines) == 4
+        ok = ok and [line.split(",")[0] for line in lines] == ["bench", "bench-scalar"] * 2
+        for line in lines[::2]:
             ok = ok and float(line.split(",")[5]) <= 10.0
         report(11, "1e6-point throughput per domain", ok)
 

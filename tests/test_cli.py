@@ -241,8 +241,8 @@ class TestBench:
         first = capsys.readouterr().out.splitlines()
         assert main(argv) == 0
         second = capsys.readouterr().out.splitlines()
-        assert len(first) == len(second) == 2
-        for a, b in zip(first, second):
+        assert len(first) == len(second) == 4
+        for a, b in zip(first[::2], second[::2]):
             fa, fb = a.split(","), b.split(",")
             assert fa[0] == "bench"
             assert fa[1] == "1e-08"
@@ -252,11 +252,28 @@ class TestBench:
             # the trailing timing fields may differ
             assert fa[:5] == fb[:5]
             assert float(fa[5]) > 0 and float(fa[6]) > 0
+        # each batch line is followed by eval_w over the same points: its
+        # digest equals the batch's, and the batch line's own at count <= 2000
+        for line, a, b in zip(first[::2], first[1::2], second[1::2]):
+            fa, fb = a.split(","), b.split(",")
+            assert fa[0] == "bench-scalar"
+            assert fa[1:4] == line.split(",")[1:4]
+            assert fa[4] == fa[5] == line.split(",")[4]
+            assert fa[:6] == fb[:6]
+            assert float(fa[6]) > 0
+
+    def test_scalar_line_takes_the_first_2000_points(self, capsys):
+        assert main(["bench", "--count", "2500", "--y", "0.05", "--domain", "external"]) == 0
+        batch, scalar = (line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert batch[3] == "2500" and scalar[3] == "2000"
+        assert scalar[4] == scalar[5] != batch[4]
 
     def test_single_domain_single_point(self, capsys):
         assert main(["bench", "--count", "1", "--y", "0.1",
                      "--domain", "internal"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[:4] for line in lines] == [
+            ["bench", "0.1", "internal", "1"], ["bench-scalar", "0.1", "internal", "1"]]
 
     def test_rejects_zero_count(self, capsys):
         assert main(["bench", "--count", "0", "--y", "0.05"]) == 2
@@ -282,7 +299,7 @@ class TestBench:
         assert bench_points(0.0, "internal", 500, 3).max() > 22.0
         assert main(["bench", "--count", "10", "--y", "0"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split(",")[2] for line in lines] == ["internal"]
+        assert [line.split(",")[2] for line in lines] == ["internal", "internal"]
         assert main(["bench", "--count", "10", "--y", "0", "--domain", "external"]) == 2
         assert "no external domain" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -212,6 +213,23 @@ def test_deep_fraction_memory_stays_bounded(fraction):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_far_divide_near_the_largest_floats():
+    # with both parts of z near 1e308 a plain divide's Smith denominator
+    # overflows and w read +-0; the scaled divide gives (i/sqrt(pi))/z,
+    # w to double precision there, within half a subnormal step (2^-1075,
+    # which rel_errors' 2^-1022 floor reads as 2^-53) at every depth
+    zs = [1.2e308 - 1.2e308j, 9e307 + 9e307j, -1.7e308 + 1.7e308j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (1, 6, 65):
+            w = laplace_w(np.array(zs), d)
+            for z, v in zip(zs, w.tolist()):
+                ref = mp.mpc(0, 1) / mp.sqrt(mp.pi) / mp.mpc(z)
+                assert v.real != 0.0 and v.imag != 0.0, (z, d)
+                assert max(rel_errors(v, ref)) <= 2.0**-53, (z, d)
+                assert laplace_w(z, d) == v, (z, d)
 
 
 def test_deepest_first_prefixes_match_bincount():

@@ -25,7 +25,7 @@ from voigtw.scheme import (
     select_params,
 )
 from voigtw.oracle import ref_w
-from voigtw.taylor import SeriesParams, eval_w_internal
+from voigtw.taylor import SeriesParams, VoigtValue, eval_w_internal
 
 
 class TestBoundary:
@@ -333,11 +333,14 @@ class TestEvalW:
     )
     def test_returns_python_floats(self, x, y, branch):
         # the scalar path runs on floats to the end: np.float64 is a float
-        # subclass, so only the exact type tells it apart
+        # subclass, so only the exact type tells it apart; the record is a
+        # VoigtValue whose fields are those floats (-x covers x = -0.0)
         for sx in (x, -x):
             assert point_branch(sx, y)[0] == branch
-            k, l = eval_w(sx, y)
+            value = eval_w(sx, y)
+            k, l = value
             assert type(k) is float and type(l) is float, (sx, y)
+            assert type(value) is VoigtValue and value.k is k and value.l is l, (sx, y)
 
     def test_rejects_y_outside(self):
         with pytest.raises(ValueError):
@@ -422,7 +425,9 @@ class TestBatch:
     def test_outputs_are_contiguous_arrays_of_xs_shape(self, y, x):
         # on the axis, internal and external branches; a 0-d x gives 0-d arrays
         for xs in (x, -x, np.full((2, 3), x), np.full(4, -x)[::2], np.full((3, 2), x).T):
-            k, l = eval_w_batch(xs, y)
+            value = eval_w_batch(xs, y)
+            k, l = value
+            assert type(value) is VoigtValue and value.k is k and value.l is l
             ks, ls = eval_w(-x if np.signbit(np.ravel(xs)[0]) else x, y)
             for a, want in ((k, ks), (l, ls)):
                 assert type(a) is np.ndarray and a.dtype == np.float64
